@@ -6,8 +6,7 @@
    - steady-state GC pressure: minor words allocated per attested
      request across submit+flush, with requests pre-sealed so only the
      plane's own allocations count.  The arena path must stay within
-     25% of the committed baseline (and sits several times below the
-     list-structured reference path it replaced);
+     25% of the committed baseline;
    - attested req/s at 8 cores on the arena path must stay within 25%
      of the committed baseline and above the absolute 1.5x-over-PR6
      acceptance floor;
@@ -67,14 +66,13 @@ let attested_client plane ~p ~name =
    flush + reply assembly), measured over a steady state: every request
    envelope is sealed up front, the arenas and rings are warmed by
    untimed rounds, then [Gc.minor_words] brackets the measured rounds. *)
-let minor_words_per_request ~arena =
+let minor_words_per_request () =
   let p = Platform.create ~seed:971L () in
   let plane =
     Serve.create_node ~platform:p @@ Serve.Node_config.v ~platform:p
       {
         Serve.default_config with
-        Serve.arena;
-        sched =
+        Serve.sched =
           { Sched.default_config with Sched.batch = 16; drop_on_error = true };
       }
   in
@@ -221,7 +219,6 @@ let measure_hot ~cores =
 
 type summary = {
   words_arena : float;
-  words_reference : float;
   rps_8core : float;  (* 4-tenant arena path, from Bench_serve *)
   hot_runs : hot_run list;
   hot_rps_8core : float;
@@ -230,14 +227,12 @@ type summary = {
 }
 
 let summarize () =
-  let words_arena = minor_words_per_request ~arena:true in
-  let words_reference = minor_words_per_request ~arena:false in
+  let words_arena = minor_words_per_request () in
   let rps_8core = (Bench_serve.measure ~cores:8).Bench_serve.rps in
   let hot_runs = List.map (fun cores -> measure_hot ~cores) [ 1; 2; 4; 8 ] in
   let hot_rps n = (List.find (fun r -> r.h_cores = n) hot_runs).h_rps in
   {
     words_arena;
-    words_reference;
     rps_8core;
     hot_runs;
     hot_rps_8core = hot_rps 8;
@@ -248,21 +243,11 @@ let summarize () =
 let run () =
   Util.set_experiment "arena";
   Util.banner "Arena"
-    "Allocation-free attested data path: minor words per request (arena \
-     vs the list-structured reference oracle), 8-core throughput, and a \
-     single hot tenant sharded across every core.";
+    "Allocation-free attested data path: minor words per request, 8-core \
+     throughput, and a single hot tenant sharded across every core.";
   let s = summarize () in
-  Printf.printf "  minor words per attested request (steady state):\n\n";
-  Util.print_table
-    ~columns:[ "path"; "words/req" ]
-    [
-      [ "arena"; Printf.sprintf "%.1f" s.words_arena ];
-      [ "reference (lists)"; Printf.sprintf "%.1f" s.words_reference ];
-      [
-        "ratio";
-        Printf.sprintf "%.2fx" (s.words_reference /. max 1e-9 s.words_arena);
-      ];
-    ];
+  Printf.printf "  minor words per attested request (steady state): %.1f\n"
+    s.words_arena;
   Printf.printf "\n  hot tenant (1 enclave, %d sessions) vs cores:\n\n"
     hot_sessions;
   Util.print_table
@@ -290,9 +275,7 @@ let write_baseline path =
   Printf.fprintf oc "  \"hot_tenant_rps_8core\": %.1f,\n" s.hot_rps_8core;
   Printf.fprintf oc "  \"hot_tenant_ratio\": %.3f,\n" s.hot_ratio;
   Printf.fprintf oc "  \"hot_speedup_2core\": %.3f,\n" s.hot_speedup_2core;
-  Printf.fprintf oc "  \"minor_words_per_request\": %.1f,\n" s.words_arena;
-  Printf.fprintf oc "  \"minor_words_per_request_reference\": %.1f\n}\n"
-    s.words_reference;
+  Printf.fprintf oc "  \"minor_words_per_request\": %.1f\n}\n" s.words_arena;
   close_out oc;
   Printf.printf "arena baseline written to %s\n" path
 

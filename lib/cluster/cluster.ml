@@ -359,8 +359,10 @@ exception Short of string
 
 let decode_export b =
   let pos = ref 0 in
+  (* [n > len - pos], not [pos + n > len]: a length word near [max_int]
+     must not wrap the bound negative. *)
   let need n what =
-    if !pos + n > Bytes.length b then raise (Short what)
+    if n > Bytes.length b - !pos then raise (Short what)
   in
   let u64 what =
     need 8 what;

@@ -155,6 +155,14 @@ val route : t -> tenant:string -> (int, error) result
 
 (** {1 Migration} *)
 
+val encode_export : Serve.tenant_export -> bytes
+(** The export blob a migration seals: magic, then length-prefixed
+    fields and counts as little-endian 64-bit words. *)
+
+val decode_export : bytes -> (Serve.tenant_export, string) result
+(** Inverse of {!encode_export}.  Total: any bytes yield [Ok] or an
+    [Error] naming the first field that failed; it never raises. *)
+
 (** The three protocol messages, exposed so tests can replay, tamper
     and mis-route them; {!migrate} drives them over the network. *)
 module Migrate : sig

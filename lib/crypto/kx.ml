@@ -17,8 +17,6 @@ let generate rng =
   Hashtbl.replace registry (Bytes.to_string public) secret;
   (secret, public)
 
-let public_of_secret = derive_public
-
 (* Hash the unordered pair of secrets so both endpoints compute the same
    value regardless of who calls. *)
 let shared mine theirs =

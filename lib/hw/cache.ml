@@ -135,7 +135,6 @@ let flush_line t addr =
 
 let flush_all t = Array.fill t.slab 0 (Array.length t.slab) invalid
 let size_bytes t = t.sets * t.ways * t.line_bytes
-let line_bytes t = t.line_bytes
 let accesses t = t.accesses
 let misses t = t.misses
 

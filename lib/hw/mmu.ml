@@ -166,8 +166,4 @@ let flush_tlb t =
   Hashtbl.reset t.va_regions;
   Cycles.tick t.clock t.cost.tlb_flush
 
-let invalidate_vpn t ~vpn =
-  Tlb.invalidate t.tlb ~vpn;
-  Cycles.tick t.clock t.cost.tlb_shootdown
-
 let tlb t = t.tlb

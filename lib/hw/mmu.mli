@@ -47,9 +47,6 @@ val translate : t -> access:access -> user:bool -> int -> int
     @raise Npt_violation when the final guest physical page has no nested
     mapping or insufficient nested permission. *)
 
-val translate_page : t -> access:access -> user:bool -> vpn:int -> int
-(** Like {!translate} but page-granular: returns the host frame. *)
-
 val switch_context : t -> gpt:Page_table.t -> ?npt:Page_table.t -> unit -> unit
 (** CR3 (and nested CR3) write: installs new tables and flushes the TLB,
     charging the flush cost. *)
@@ -59,7 +56,5 @@ val npt : t -> Page_table.t option
 val nested : t -> bool
 
 val flush_tlb : t -> unit
-val invalidate_vpn : t -> vpn:int -> unit
-(** INVLPG after a PTE change; charges [tlb_shootdown]. *)
 
 val tlb : t -> Tlb.t

@@ -133,4 +133,3 @@ let write_page t ~frame data =
 let zero_page t ~frame =
   observe t frame;
   Hashtbl.remove t.frames frame
-let touched_frames t = Hashtbl.length t.frames

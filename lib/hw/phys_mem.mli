@@ -52,9 +52,6 @@ val write_page : t -> frame:int -> bytes -> unit
 val zero_page : t -> frame:int -> unit
 (** Scrub a frame back to zeroes (used when the monitor reclaims EPC). *)
 
-val touched_frames : t -> int
-(** Number of frames materialized so far (for resource accounting tests). *)
-
 val set_write_observer : t -> (int -> unit) option -> unit
 (** [set_write_observer mem (Some f)] calls [f frame] just before any
     mutation of [frame] (writes, fills, page zeroing).  Used by lib/mc

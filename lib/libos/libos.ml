@@ -35,8 +35,6 @@ type target =
   | Sock_fd of sock
   | Epoll_fd of (int, interest) Hashtbl.t
 
-type fd_kind = File | Socket | Epoll
-
 type fd_state = {
   target : target;
   path : string; (* "" for sockets/epoll *)
@@ -110,14 +108,6 @@ let alloc_fd t state =
   t.next_fd <- fd + 1;
   Hashtbl.replace t.fds fd state;
   fd
-
-let kind_of_state state =
-  match state.target with
-  | File_fd _ -> File
-  | Sock_fd _ -> Socket
-  | Epoll_fd _ -> Epoll
-
-let fd_kind t fd = kind_of_state (fd_state t fd)
 
 let file_node t fd =
   let state = fd_state t fd in

@@ -26,17 +26,15 @@
     reads past EOF return short data, never exceptions.  [O_APPEND]
     writes always land at the inode's EOF regardless of [lseek].
 
-    Costs: every syscall charges a small in-enclave dispatch
-    ({!syscall_dispatch_cost}) plus per-byte copy costs; forwarded calls
-    additionally pay the full OCALL path of the enclave's operation
-    mode. *)
+    Costs: every syscall charges a small in-enclave dispatch (a function
+    call plus fd-table work, ~180 cycles) plus per-byte copy costs;
+    forwarded calls additionally pay the full OCALL path of the enclave's
+    operation mode. *)
 
 open Hyperenclave_hw
 open Hyperenclave_sdk
 
 type t
-
-type fd_kind = File | Socket | Epoll
 
 exception Bad_fd of int
 exception Bad_seek of int
@@ -44,13 +42,6 @@ exception Bad_seek of int
     offset is reported, [state.pos] is left untouched. *)
 
 exception No_such_file of string
-
-val syscall_dispatch_cost : int
-(** In-enclave syscall entry/exit: a function call plus fd-table work
-    (~180 cycles), not a world switch. *)
-
-val epoll_poll_cost : int
-(** Per-watched-fd readiness check inside {!epoll_wait}. *)
 
 val max_file_bytes : int
 (** Largest accepted seek offset (1 TiB); beyond it {!lseek} raises
@@ -117,7 +108,6 @@ val fstat_size : t -> int -> int
 (** Inode size through an open fd — works after unlink. *)
 
 val list_dir : t -> prefix:string -> string list
-val fd_kind : t -> int -> fd_kind
 
 (** {1 Process/time syscalls — served in-enclave} *)
 

@@ -31,12 +31,8 @@ let create ?pager () =
 let paged t = t.pager <> None
 let exists t ~path = Hashtbl.mem t.files path
 let lookup t ~path = Hashtbl.find_opt t.files path
-let linked t (node : node) =
-  Hashtbl.fold (fun _ (n : node) acc -> acc || n.ino = node.ino) t.files false
 
-let node_ino (n : node) = n.ino
 let node_size (n : node) = n.size
-let node_created_at (n : node) = n.created_at
 
 (* --- extent management (paged backing) ---------------------------------- *)
 
@@ -136,9 +132,6 @@ let open_node t ~path ~now ~create ~trunc =
         Some node
       end
 
-let create_file t ~path ~now =
-  ignore (open_node t ~path ~now ~create:true ~trunc:true)
-
 let unlink t ~path =
   (* POSIX semantics: only the namespace entry goes away; any open fd
      still holding the node keeps reading/writing the orphaned inode. *)
@@ -153,14 +146,6 @@ let stat t ~path =
     (fun (n : node) -> { size = n.size; created_at = n.created_at })
     (Hashtbl.find_opt t.files path)
 
-let read_at t ~path ~pos ~len =
-  Option.map (fun n -> node_read t n ~pos ~len) (Hashtbl.find_opt t.files path)
-
-let write_at t ~path ~pos data =
-  Option.map
-    (fun n -> node_write t n ~pos data)
-    (Hashtbl.find_opt t.files path)
-
 let size t ~path =
   Option.map (fun (n : node) -> n.size) (Hashtbl.find_opt t.files path)
 
@@ -170,10 +155,5 @@ let list_prefix t ~prefix =
       if String.starts_with ~prefix path then path :: acc else acc)
     t.files []
   |> List.sort compare
-
-let file_count t = Hashtbl.length t.files
-
-let total_bytes t =
-  Hashtbl.fold (fun _ (n : node) acc -> acc + n.size) t.files 0
 
 let paged_bytes t = t.heap_cursor

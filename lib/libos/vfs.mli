@@ -46,32 +46,20 @@ val open_node :
     Truncation is in-place, so other fds holding the node observe size
     0 — not a fresh inode. *)
 
-val create_file : t -> path:string -> now:int -> unit
-(** [open_node ~create:true ~trunc:true], result ignored. *)
-
 val unlink : t -> path:string -> bool
 (** Removes only the namespace entry; open fds keep the inode alive.
     [false] if absent. *)
 
-val linked : t -> node -> bool
-(** Is this inode still reachable from any path? *)
-
 val stat : t -> path:string -> stat option
 val size : t -> path:string -> int option
 val list_prefix : t -> prefix:string -> string list
-val file_count : t -> int
-
-val total_bytes : t -> int
-(** Live bytes across linked files (orphaned inodes excluded). *)
 
 val paged_bytes : t -> int
 (** Heap-extent bytes ever allocated from the pager (bump cursor). *)
 
 (** {1 Inode operations} *)
 
-val node_ino : node -> int
 val node_size : node -> int
-val node_created_at : node -> int
 
 val node_read : t -> node -> pos:int -> len:int -> bytes
 (** Short reads at EOF (empty past it).
@@ -80,10 +68,3 @@ val node_read : t -> node -> pos:int -> len:int -> bytes
 val node_write : t -> node -> pos:int -> bytes -> int
 (** Extends the file as needed (zero-filling holes); returns the number
     of bytes written.  @raise Invalid_argument on negative [pos]. *)
-
-val node_truncate : t -> node -> unit
-
-(** {1 Path-level convenience (lookup + inode op)} *)
-
-val read_at : t -> path:string -> pos:int -> len:int -> bytes option
-val write_at : t -> path:string -> pos:int -> bytes -> int option

@@ -50,7 +50,6 @@ let free_enclave t ~enclave_id =
   frames
 
 let info t frame = Hashtbl.find_opt t.meta frame
-let owned_by t frame = Option.map (fun i -> i.owner) (info t frame)
 let clock_hand t = t.hand
 let alloc_hint t = Frame_alloc.hint t.alloc
 

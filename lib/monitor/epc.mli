@@ -33,7 +33,6 @@ val free_enclave : t -> enclave_id:int -> int list
 val info : t -> int -> frame_info option
 (** Metadata for a frame, [None] if free or out of pool. *)
 
-val owned_by : t -> int -> owner option
 val in_pool : t -> int -> bool
 val base_frame : t -> int
 val nframes : t -> int

@@ -25,9 +25,6 @@ val name : t -> string
 val monitor_mode : t -> string
 (** Where RustMonitor runs: "VMX root mode" / "EL2" / "HS-mode". *)
 
-val normal_mode : t -> string
-(** Where the demoted primary OS runs. *)
-
 val secure_mode : t -> Sgx_types.operation_mode -> string
 (** Where each enclave operation mode lands, e.g. GU on ARMv8 is "EL0
     under stage-2 translation". *)
@@ -35,12 +32,9 @@ val secure_mode : t -> Sgx_types.operation_mode -> string
 val supports_flexible_modes : t -> bool
 (** All three do — the point of Sec. 8. *)
 
-val transition_factor : t -> float
-(** Scaling applied to the world-switch primitives (hypercall, vmexit,
-    injection) relative to the measured x86 values. *)
-
 val scale_cost_model : t -> Cost_model.t -> Cost_model.t
 (** The projected cost model for the ISA: transition primitives and the
-    mode-specific world-switch extras scaled by {!transition_factor};
+    mode-specific world-switch extras scaled by the ISA's transition
+    factor (relative to the measured x86 values);
     memory-system and OS costs untouched; the Intel-SGX-silicon constants
     untouched (they exist only on x86). *)

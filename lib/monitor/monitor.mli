@@ -65,8 +65,6 @@ val normal_npt : t -> Page_table.t
 
 val hapk : t -> Hyperenclave_crypto.Signature.public_key
 val boot_log : t -> boot_event list
-val seal_pcr_selection : int list
-(** PCR indices binding [K_root]: the boot chain plus the flood PCR. *)
 
 val quote_pcr_selection : int list
 

@@ -957,8 +957,6 @@ type ring = {
 
 let ring_staged r = r.staged
 let ring_capacity r = r.slots
-let ring_slot_bytes r = r.slot_bytes
-let ring_shard r = r.shard
 let ring_buf r = r.rbuf
 let ring_reply_buf r = r.pbuf
 let ring_reset r = r.staged <- 0

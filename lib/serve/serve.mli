@@ -132,31 +132,29 @@ type config = {
           so session churn cannot grow the table without limit *)
   ticket_ttl : int;
       (** resumption-ticket lifetime in shared-clock cycles *)
-  arena : bool;
-      (** allocation-free data path (the default): admissions stage into
-          flat reusable arenas and {!flush} dispatches through per-shard
-          marshalling-buffer rings where the pinned slot {e is} the AEAD
-          envelope — requests decrypt into their ring slot, replies seal
-          in place in the reply image, and the only per-request
-          allocations left are the wire-facing reply envelopes.  [false]
-          selects the list-structured reference path, kept as the
-          byte-identity oracle the arena is property-tested against. *)
   shard_block : int;
       (** consecutive per-session staged requests assigned to one ring
           shard before the plane-wide rotor advances — small enough that
           one hot session spreads across every core, large enough that a
           session's replies cluster per reply segment *)
   slot_bytes : int;
-      (** ring slot payload capacity, a positive multiple of 8; arena
+      (** ring slot payload capacity, a positive multiple of 8;
           admissions whose ciphertext exceeds it are refused with
-          {!Unsupported} *)
+          {!Unsupported}, on every backend kind *)
 }
+(** Admissions stage into flat reusable arenas and {!flush} dispatches
+    enclave tenants through per-shard marshalling-buffer rings where the
+    pinned slot {e is} the AEAD envelope: requests decrypt into their
+    ring slot, replies seal in place in the reply image, and the only
+    per-request allocations left are the wire-facing reply envelopes.
+    Tenants without an SDK handle (the SGX model) dispatch through a
+    synchronous backend batch instead. *)
 
 val default_config : config
 (** 2 cores (scheduler defaults with [drop_on_error]), 64-request
     queues, unmetered quotas, 16-page session state stride, 1024-nonce
-    replay cache, 1e9-cycle ticket TTL, arena path on with 8-request
-    shard blocks and 256-byte slots. *)
+    replay cache, 1e9-cycle ticket TTL, 8-request shard blocks and
+    256-byte ring slots. *)
 
 (** {1 Node identity}
 
@@ -174,17 +172,14 @@ type identity = {
           selection — what its TPM quotes attest *)
 }
 
-val identity_of_platform : ?node_id:int -> Platform.t -> identity
-(** Read the platform's monitor hapk and current PCR digest; [node_id]
-    defaults to [0]. *)
-
 module Node_config : sig
   type serve_config := config
 
   type t = { identity : identity; serve : serve_config }
 
   val v : ?node_id:int -> platform:Platform.t -> serve_config -> t
-  (** Convenience: derive the identity from the platform. *)
+  (** Convenience: derive the identity from the platform — its monitor
+      hapk and current PCR digest; [node_id] defaults to [0]. *)
 end
 
 type t
@@ -207,7 +202,8 @@ val node_quote :
 
 val add_tenant : t -> name:string -> Backend.config -> Backend.t
 (** Build the tenant's backend on the plane's platform ({!Backend.create}
-    with the plane's reserved session-state ECALLs appended) and register
+    with the plane's reserved session-state ECALLs — {!state_ecall} and
+    the migration-time state read / write movers — appended) and register
     it.  The returned backend is the tenant's own handle — for loading
     data, direct calls, and teardown.
     @raise Invalid_argument on a duplicate name or a handler colliding
@@ -215,10 +211,6 @@ val add_tenant : t -> name:string -> Backend.config -> Backend.t
 
 val state_ecall : int
 (** The reserved ECALL id behind {!resize_session}. *)
-
-val reserved_ecalls : int list
-(** All ECALL ids the plane reserves: session-state commit
-    ({!state_ecall}), and the migration-time state read / write movers. *)
 
 val quoting_identity : t -> bytes
 (** MRENCLAVE of the plane's quoting enclave — what a client should pin
@@ -267,11 +259,13 @@ val submit : t -> request -> (unit, reject) result
     deferred to {!flush} — zero-copy admission. *)
 
 val flush : t -> reply list
-(** Complete the deferred decrypts in ring-sized chunks spread over the
+(** Complete the deferred decrypts into ring slots spread over the
     scheduler's cores, drain every admitted request — enclave tenants
-    as batched ECALLs through the scheduler, SGX-model tenants through
-    the backend batch call — charge tenant quotas, and seal the replies
-    with the sessions' prepared keys (admission order per flush). *)
+    as switchless ring dispatches through the scheduler, SGX-model
+    tenants through the backend batch call in ring-sized chunks — charge
+    tenant quotas, and seal the replies with the sessions' prepared
+    keys.  Replies come back in tenant-insertion order, then session id,
+    then sequence number. *)
 
 val resize_session : t -> session:int -> pages:int -> (int, reject) result
 (** Commit [pages] pages of in-enclave session state through the

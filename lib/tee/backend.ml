@@ -364,11 +364,6 @@ let outcome_name = function
   | Typed_error _ -> "typed-error"
   | Violation _ -> "violation"
 
-let pp_outcome fmt = function
-  | Success reply -> Format.fprintf fmt "success (%d bytes)" (Bytes.length reply)
-  | Typed_error msg -> Format.fprintf fmt "typed-error: %s" msg
-  | Violation msg -> Format.fprintf fmt "violation: %s" msg
-
 (* The only acceptable endings of a call under fault injection.  A clean
    reply, a typed refusal the application can act on, or the monitor
    detecting tampering — anything else (an unexpected exception, silent

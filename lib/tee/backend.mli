@@ -151,7 +151,6 @@ type outcome =
           a deliberate refusal, never an accident *)
 
 val outcome_name : outcome -> string
-val pp_outcome : Format.formatter -> outcome -> unit
 
 val protected_call :
   t -> id:int -> ?data:bytes -> direction:Edge.direction -> unit -> outcome

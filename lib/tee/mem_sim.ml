@@ -351,12 +351,6 @@ let touch_dependent_reference t ~addr ~len ~write =
     Cycles.tick t.clock !acc
   end
 
-let flush_range t ~base ~bytes =
-  let lines = (bytes + line - 1) / line in
-  for i = 0 to min lines t.sample_cap - 1 do
-    Cache.flush_line t.cache (base + (i * line))
-  done
-
 let flush_all t = Cache.flush_all t.cache
 let swaps t = t.swaps
 let tlb_stats t = (Tlb.lookups t.tlb, Tlb.hits t.tlb)

@@ -75,9 +75,6 @@ val touch_dependent_reference : t -> addr:int -> len:int -> write:bool -> unit
     per 64-byte line) — the specification oracles the page-granular fast
     paths are tested against.  Not used on production paths. *)
 
-val flush_range : t -> base:int -> bytes:int -> unit
-(** CLFLUSH a range (the Fig. 7 methodology). *)
-
 val flush_all : t -> unit
 
 val swaps : t -> int

@@ -89,8 +89,3 @@ let create ?(seed = 42L) ?(cost = Cost_model.default) ?(phys_mb = 256)
     proc;
     signer;
   }
-
-let new_process t =
-  let proc = Kernel.spawn t.kernel in
-  Kernel.switch_to t.kernel proc;
-  proc

@@ -39,9 +39,6 @@ val create :
     in the named boot component before the measured boot — the "evil
     maid" fixture for attestation tests. *)
 
-val new_process : t -> Process.t
-(** Spawn and schedule another application process. *)
-
 val llc_bytes : int
 (** 8 MiB — the paper's last-level cache size (Fig. 11). *)
 

@@ -8,9 +8,6 @@
 
 type t
 
-val bank_size : int
-(** 24 registers, as in TPM 2.0's SHA-256 bank. *)
-
 val create : unit -> t
 (** All registers at the 32-byte zero value (post-reset state). *)
 

@@ -205,8 +205,6 @@ let depth t =
   let rec go node acc = if is_leaf node then acc else go node.children.(0) (acc + 1) in
   go t.root 1
 
-let working_set_bytes t = t.next_addr - t.root.addr
-
 let last_touched t = List.rev t.touched
 
 let check_invariants t =

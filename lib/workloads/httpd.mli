@@ -29,9 +29,6 @@ val handlers : pages:(string * int) list -> (int * Backend.handler) list
 val ocalls : unit -> (int * (bytes -> bytes)) list
 (** The untrusted socket-write handlers (shared shape for all backends). *)
 
-val request_for : path:string -> bytes
-(** A well-formed GET request. *)
-
 val serve : Backend.t -> path:string -> int
 (** One request through the backend; returns simulated cycles.
     @raise Failure on a non-200 response. *)

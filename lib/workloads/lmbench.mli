@@ -18,5 +18,4 @@ type result = {
   overhead_pct : float;
 }
 
-val op_names : string list
 val run : Platform.t -> ?iterations:int -> unit -> result list

@@ -9,9 +9,6 @@ open Hyperenclave_tee
 
 type t
 
-val default_period : int
-(** 550,000 cycles — a 4 kHz tick at the paper's 2.2 GHz. *)
-
 val create : ?period:int -> Backend.env -> t
 val check : t -> Backend.env -> unit
 val fired : t -> int

@@ -66,8 +66,6 @@ let next_op_c t = Read (next_key t)
 let next_scan t ?(max_len = 16) () =
   Scan (next_key t, 1 + Rng.int t.rng max_len)
 
-let uniform_key t = Rng.int t.rng t.records
-
 let record_value ~key ~size =
   let pattern = Printf.sprintf "record-%08x:" key in
   let out = Bytes.create size in

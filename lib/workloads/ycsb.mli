@@ -32,7 +32,5 @@ val next_op_c : t -> op
 val next_scan : t -> ?max_len:int -> unit -> op
 (** A zipfian-anchored range scan of 1..[max_len] records (default 16). *)
 
-val uniform_key : t -> int
-
 val record_value : key:int -> size:int -> bytes
 (** Deterministic record payload for a key. *)

@@ -468,8 +468,39 @@ let test_singleton () =
   assert_green cl;
   Cluster.destroy cl
 
+(* A length word near [max_int] must come back as a typed error: a
+   bounds check written [pos + n > len] wraps negative on it and lets
+   [Bytes.sub] raise [Invalid_argument] instead. *)
+let test_export_length_overflow () =
+  let session =
+    { Serve.x_session = 3; x_key = Bytes.make 32 'k'; x_recv_seq = 5;
+      x_pages = 1; x_state = Bytes.make 16 's' }
+  in
+  let x =
+    { Serve.x_tenant = "acme"; x_identity = Bytes.make 32 'i';
+      x_sessions = [ session ]; x_nonces = [ "n0"; "n1" ] }
+  in
+  let blob = Cluster.encode_export x in
+  (match Cluster.decode_export blob with
+  | Ok y -> Alcotest.(check bool) "round trip" true (x = y)
+  | Error what -> Alcotest.failf "valid blob refused at %s" what);
+  (* the tenant-name and identity length words *)
+  List.iter
+    (fun off ->
+      let b = Bytes.copy blob in
+      Bytes.set_int64_le b off 0x3fff_ffff_ffff_ffffL;
+      match Cluster.decode_export b with
+      | Ok _ -> Alcotest.failf "length word at %d: overlong blob accepted" off
+      | Error _ -> ()
+      | exception exn ->
+          Alcotest.failf "length word at %d: decoder raised %s" off
+            (Printexc.to_string exn))
+    [ 7; 19 ]
+
 let suite =
   [
+    Alcotest.test_case "export blob length overflow is typed" `Quick
+      test_export_length_overflow;
     Alcotest.test_case "live migration: seal, ship, re-attest, resume" `Quick
       test_live_migration;
     Alcotest.test_case "migrate back home" `Quick test_migrate_back;

@@ -340,6 +340,80 @@ let ring_frame_corrupt_length =
           QCheck.Test.fail_reportf "length %d raised %s" bad_len
             (Printexc.to_string exn))
 
+(* --- migration export blob: totality -------------------------------------------- *)
+
+(* The export blob is decoded after AEAD verification, so only a keyed
+   peer reaches the decoder — it must still be total: truncated,
+   byte-flipped or length-patched blobs yield [Ok]/[Error], never an
+   exception. *)
+let export_gen =
+  QCheck.Gen.(
+    let str = string_size (int_bound 24) in
+    let key = map Bytes.of_string (string_size (return 32)) in
+    let session =
+      let+ x_session = int_bound 1_000_000
+      and+ x_key = key
+      and+ x_recv_seq = int_bound 1000
+      and+ x_pages = int_bound 4
+      and+ x_state = map Bytes.of_string str in
+      { Serve.x_session; x_key; x_recv_seq; x_pages; x_state }
+    in
+    let+ x_tenant = str
+    and+ x_identity = key
+    and+ x_sessions = list_size (int_bound 3) session
+    and+ x_nonces = list_size (int_bound 3) str in
+    { Serve.x_tenant; x_identity; x_sessions; x_nonces })
+
+(* Damage to a blob: truncate it, flip bytes, or overwrite a word —
+   often at offset 7, the first length word — with a value near
+   [max_int], an arbitrary one, or a small one. *)
+let damage_gen =
+  QCheck.Gen.(
+    let flips = list_size (int_range 1 4) (pair nat (int_range 1 255)) in
+    let word =
+      oneof
+        [
+          map (fun d -> Int64.(sub 0x3fff_ffff_ffff_ffffL (of_int d))) small_nat;
+          map Int64.of_int int;
+          map Int64.of_int small_nat;
+        ]
+    in
+    oneof
+      [
+        map (fun n b -> Bytes.sub b 0 (n mod Bytes.length b)) nat;
+        map
+          (fun flips b ->
+            let b = Bytes.copy b in
+            List.iter
+              (fun (pos, mask) ->
+                let pos = pos mod Bytes.length b in
+                let c = Char.code (Bytes.get b pos) lxor mask in
+                Bytes.set b pos (Char.chr c))
+              flips;
+            b)
+          flips;
+        map2
+          (fun pos w b ->
+            let b = Bytes.copy b in
+            Bytes.set_int64_le b (pos mod (Bytes.length b - 7)) w;
+            b)
+          (oneof [ return 7; nat ])
+          word;
+      ])
+
+let export_decode_total =
+  QCheck.Test.make ~name:"export blob decoder total on damaged blobs" ~count:300
+    (QCheck.make (QCheck.Gen.pair export_gen damage_gen))
+    (fun (x, damage) ->
+      let blob = Cluster.encode_export x in
+      Cluster.decode_export blob = Ok x
+      &&
+      match Cluster.decode_export (damage blob) with
+      | Ok _ | Error _ -> true
+      | exception exn ->
+          QCheck.Test.fail_reportf "damaged blob raised %s"
+            (Printexc.to_string exn))
+
 (* --- determinism -------------------------------------------------------------------- *)
 
 let platform_cycle_determinism =
@@ -383,6 +457,7 @@ let suite =
       ring_frame_roundtrip;
       ring_frame_truncation;
       ring_frame_corrupt_length;
+      export_decode_total;
       libos_fd_invariants;
       platform_cycle_determinism;
     ]

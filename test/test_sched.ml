@@ -281,6 +281,39 @@ let test_chaos_preemption_invariants () =
       List.iter Urts.destroy handles)
     seeds
 
+let test_stats_running_totals () =
+  (* [stats] reports running totals across submit/run rounds: every
+     served request once, and every request of a dispatch dropped with a
+     typed error (here an unknown ECALL id) as failed. *)
+  let p = Platform.create ~seed:4300L () in
+  let handle = make_enclave p ~seed_name:"sched-totals" ~burn:1_000 in
+  let sched =
+    Sched.create ~shared_clock:p.Platform.clock ~telemetry:(telemetry p)
+      { Sched.default_config with Sched.cores = 2; drop_on_error = true }
+  in
+  let served = ref 0 and dropped = ref 0 in
+  for round = 1 to 4 do
+    let good = 2 * round and bad = round in
+    Sched.submit sched ~urts:handle
+      (requests ~tag:(Printf.sprintf "round%d" round) good);
+    Sched.submit sched ~urts:handle
+      (List.init bad (fun _ -> (99, Bytes.empty)));
+    served := !served + good;
+    dropped := !dropped + bad;
+    let stats = Sched.run sched in
+    Alcotest.(check int)
+      (Printf.sprintf "round %d: total requests" round)
+      !served stats.Sched.total_requests;
+    Alcotest.(check int)
+      (Printf.sprintf "round %d: failed requests" round)
+      !dropped stats.Sched.failed_requests
+  done;
+  let stats = Sched.stats sched in
+  Alcotest.(check (pair int int))
+    "stats after the last run" (20, 10)
+    (stats.Sched.total_requests, stats.Sched.failed_requests);
+  Urts.destroy handle
+
 let suite =
   [
     Alcotest.test_case "batch ring semantics" `Quick test_batch_semantics;
@@ -293,6 +326,8 @@ let suite =
       test_work_stealing_invariance;
     Alcotest.test_case "batched scheduler beats unbatched" `Quick
       test_batched_scheduler_run;
+    Alcotest.test_case "stats keep running totals across rounds" `Quick
+      test_stats_running_totals;
     Alcotest.test_case "2-enclave/2-core chaos with invariant checks" `Quick
       test_chaos_preemption_invariants;
   ]

@@ -50,8 +50,8 @@ let build ?(seed = 7000L) ?(config = Serve.default_config)
   in
   (p, plane, backend, client)
 
-let establish plane client =
-  match Serve.handshake plane ~tenant:"acme" (Serve.Client.hello client) with
+let establish ?(tenant = "acme") plane client =
+  match Serve.handshake plane ~tenant (Serve.Client.hello client) with
   | Error r -> Alcotest.failf "handshake rejected: %a" Serve.pp_reject r
   | Ok accept -> (
       match Serve.Client.establish client accept with
@@ -794,86 +794,225 @@ let test_telemetry_counters () =
   Serve.destroy plane
 
 (* ------------------------------------------------------------------ *)
-(* PR 7: allocation-free arena path                                    *)
+(* Reply spec: what [submit] and [flush] must answer                   *)
 
-(* A second/third client on the same tenant of an existing plane: the
-   Hyperenclave-kind backend self-quotes, so the tenant identity is also
-   the pinned measurement. *)
-let extra_client (p : Platform.t) (backend : Backend.t) ~seed =
-  let identity =
-    match backend.Backend.identity with Some id -> id | None -> Bytes.empty
-  in
-  Serve.Client.create ~rng:(Rng.create ~seed) ~golden:(golden_of p)
-    ~policy:(policy_pinning identity) ~expected_tenant:identity ()
+(* Traffic for a plane with three tenants and two sessions each (session
+   [i] belongs to tenant [i / 2]): two HyperEnclave tenants served
+   through the ring path, one SGX-model tenant through the synchronous
+   fallback. *)
+type op = Send of int * int * string  (* session, ecall, payload *) | Close of int
 
-let sealed_equal (a : Crypto.Authenc.sealed) (b : Crypto.Authenc.sealed) =
-  Bytes.equal a.Crypto.Authenc.nonce b.Crypto.Authenc.nonce
-  && Bytes.equal a.Crypto.Authenc.ciphertext b.Crypto.Authenc.ciphertext
-  && Bytes.equal a.Crypto.Authenc.tag b.Crypto.Authenc.tag
-  && Bytes.equal a.Crypto.Authenc.aad b.Crypto.Authenc.aad
+let spec_kinds =
+  Backend.[| Hyperenclave Sgx_types.GU; Hyperenclave Sgx_types.HU; Sgx |]
 
-(* The arena path must be a pure perf refactor: for identical traffic the
-   reply envelopes (nonce, ciphertext, tag, AAD — every byte on the wire)
-   must match the reference cons-cell path exactly.  Replies are
-   deterministic in the channel key, sequence number, and body — never in
-   clocks — so byte identity is checkable across two separately built
-   planes seeded alike. *)
-let arena_identity_property batches =
-  let run arena =
-    let config =
-      {
-        Serve.default_config with
-        Serve.arena;
-        sched =
-          { Sched.default_config with Sched.cores = 4; Sched.batch = 4 };
-      }
-    in
-    let _p, plane, _backend, client = build ~seed:7050L ~config () in
-    establish plane client;
+type spec_session = {
+  sid : int;
+  mutable alive : bool;
+  mutable sent : int;  (* the client's next sequence number *)
+  mutable recv : int;  (* the sequence number the plane expects *)
+  mutable staged : (int * string) list;  (* rev (seq, reply body) *)
+}
+
+(* The serving contract as a pure model.  [submit] answers "ok" or a
+   [Serve.reject_name]: unknown-session once closed; unsupported for a
+   ciphertext over [slot_bytes] (the sequence number is not burnt);
+   bad-sequence once the client's counter ran ahead; backpressure past
+   [max_queue] staged requests per tenant (burnt).  [close] drops what
+   the session staged.  [flush] answers every staged request once, in
+   tenant insertion order, then session id, then sequence number, with
+   the handler's output as body. *)
+module Spec = struct
+  type t = {
+    ss : spec_session array;
+    queued : int array;  (* per tenant *)
+    max_queue : int;
+    slot_bytes : int;
+  }
+
+  let submit m i ecall payload =
+    let s = m.ss.(i) and tn = i / 2 in
+    let seq = s.sent in
+    s.sent <- seq + 1;
+    if not s.alive then "unknown-session"
+    else if String.length payload > m.slot_bytes then "unsupported"
+    else if seq <> s.recv then "bad-sequence"
+    else begin
+      s.recv <- seq + 1;
+      if m.queued.(tn) >= m.max_queue then "backpressure"
+      else begin
+        m.queued.(tn) <- m.queued.(tn) + 1;
+        let body =
+          if ecall = 2 then String.uppercase_ascii payload else payload
+        in
+        s.staged <- (seq, body) :: s.staged;
+        "ok"
+      end
+    end
+
+  let close m i =
+    let s = m.ss.(i) in
+    if not s.alive then "unknown-session"
+    else begin
+      m.queued.(i / 2) <- m.queued.(i / 2) - List.length s.staged;
+      s.staged <- [];
+      s.alive <- false;
+      "ok"
+    end
+
+  (* (session, seq, body) in reply order *)
+  let flush m =
+    let key i = (i / 2, m.ss.(i).sid) in
     let replies =
-      List.concat_map
-        (fun batch ->
-          List.iter
-            (fun (ecall, payload) ->
-              match
-                Serve.submit plane
-                  (Serve.Client.request client ~ecall
-                     (Bytes.of_string payload))
-              with
-              | Ok () -> ()
-              | Error r ->
-                  Alcotest.failf "submit rejected: %a" Serve.pp_reject r)
-            batch;
-          Serve.flush plane)
-        batches
+      List.init (Array.length m.ss) Fun.id
+      |> List.sort (fun a b -> compare (key a) (key b))
+      |> List.concat_map (fun i ->
+             List.rev_map (fun (seq, body) -> (i, seq, body)) m.ss.(i).staged)
     in
-    Serve.destroy plane;
+    Array.iter (fun s -> s.staged <- []) m.ss;
+    Array.fill m.queued 0 (Array.length m.queued) 0;
     replies
-  in
-  let arena = run true and reference = run false in
-  List.length arena = List.length reference
-  && List.for_all2
-       (fun (a : Serve.reply) (r : Serve.reply) ->
-         a.Serve.r_session_id = r.Serve.r_session_id
-         && a.Serve.r_seq = r.Serve.r_seq
-         &&
-         match (a.Serve.r_result, r.Serve.r_result) with
-         | Ok sa, Ok sr -> sealed_equal sa sr
-         | Error ra, Error rr ->
-             Serve.reject_name ra = Serve.reject_name rr
-         | _ -> false)
-       arena reference
+end
 
-let arena_identity_qcheck =
-  QCheck.Test.make ~name:"arena replies byte-identical to reference"
-    ~count:20
-    QCheck.(
-      list_of_size
-        Gen.(int_range 1 4)
-        (list_of_size
-           Gen.(int_range 0 10)
-           (pair (oneofl [ 1; 2 ]) (string_of_size Gen.(int_range 0 64)))))
-    arena_identity_property
+(* The reply nonce: direction byte, then the sequence number at 4. *)
+let reply_nonce seq =
+  let n = Bytes.make 12 '\000' in
+  Bytes.set n 0 '<';
+  Bytes.set_int64_le n 4 (Int64.of_int seq);
+  n
+
+(* Run each batch of ops, then a flush, on a real plane and hold every
+   outcome to [Spec].  A reply matches when its session id, sequence
+   number and nonce are the expected ones and [Client.read_reply] opens
+   it (AAD check + AEAD tag) to the expected body: with key, nonce, AAD
+   and plaintext fixed, that pins every byte of the envelope. *)
+let spec_property ((cores, batch, shard_block, max_queue), batches) =
+  let config =
+    {
+      Serve.default_config with
+      Serve.max_queue;
+      shard_block;
+      sched = { Sched.default_config with Sched.cores; batch };
+    }
+  in
+  let p = Platform.create ~seed:7050L () in
+  let plane =
+    Serve.create_node ~platform:p @@ Serve.Node_config.v ~platform:p config
+  in
+  let name tn = Printf.sprintf "t%d" tn in
+  let ids =
+    Array.mapi
+      (fun tn kind ->
+        Option.get
+          (Serve.add_tenant plane ~name:(name tn) (tenant_config ~kind ()))
+            .Backend.identity)
+      spec_kinds
+  in
+  let clients =
+    Array.init 6 (fun i ->
+        let quoter =
+          if spec_kinds.(i / 2) = Backend.Sgx then Serve.quoting_identity plane
+          else ids.(i / 2)
+        in
+        Serve.Client.create
+          ~rng:(Rng.create ~seed:(Int64.of_int (7150 + i)))
+          ~golden:(golden_of p) ~policy:(policy_pinning quoter)
+          ~expected_tenant:ids.(i / 2) ())
+  in
+  (* out of tenant order, so session ids and tenant order disagree *)
+  List.iter
+    (fun i -> establish ~tenant:(name (i / 2)) plane clients.(i))
+    [ 4; 0; 2; 1; 5; 3 ];
+  let m =
+    {
+      Spec.ss =
+        Array.map
+          (fun c ->
+            let sid = Serve.Client.session_id c in
+            { sid; alive = true; sent = 0; recv = 0; staged = [] })
+          clients;
+      queued = Array.make 3 0;
+      max_queue;
+      slot_bytes = config.Serve.slot_bytes;
+    }
+  in
+  let outcome = function Ok () -> "ok" | Error r -> Serve.reject_name r in
+  let op_ok = function
+    | Send (i, ecall, payload) ->
+        let req =
+          Serve.Client.request clients.(i) ~ecall (Bytes.of_string payload)
+        in
+        outcome (Serve.submit plane req) = Spec.submit m i ecall payload
+    | Close i ->
+        outcome (Serve.close_session plane ~session:m.Spec.ss.(i).sid)
+        = Spec.close m i
+  in
+  let reply_ok (r : Serve.reply) (i, seq, body) =
+    r.Serve.r_session_id = m.Spec.ss.(i).sid
+    && r.Serve.r_seq = seq
+    && (match r.Serve.r_result with
+       | Ok e -> Bytes.equal e.Crypto.Authenc.nonce (reply_nonce seq)
+       | Error _ -> false)
+    && Serve.Client.read_reply clients.(i) r = Ok (Bytes.of_string body)
+  in
+  let ok =
+    List.for_all
+      (fun ops ->
+        let ops_ok = List.for_all op_ok ops in
+        let replies = Serve.flush plane in
+        let expected = Spec.flush m in
+        ops_ok
+        && List.length replies = List.length expected
+        && List.for_all2 reply_ok replies expected)
+      batches
+  in
+  Serve.destroy plane;
+  ok
+
+(* Every case shuffles one oversized ciphertext into its first batch and
+   closes, mid-batch, the session that batch opened with, so the close
+   usually drops staged requests; a 2-request queue then shows any
+   leaked queue slot as early backpressure.  Shard blocks down to 1
+   split a session's requests over several rings. *)
+let spec_gen =
+  let open QCheck.Gen in
+  let sess = int_bound 5 in
+  let send =
+    map3
+      (fun i ecall payload -> Send (i, ecall, payload))
+      sess (oneofl [ 1; 2 ])
+      (string_size ~gen:printable (int_bound 64))
+  in
+  let batch = list_size (int_bound 12) send in
+  let* cfg =
+    quad (oneofl [ 1; 2; 4 ]) (oneofl [ 1; 4; 16 ]) (oneofl [ 1; 2; 8 ])
+      (oneofl [ 2; 64 ])
+  and* big = sess
+  and* closed = sess
+  and* first = batch
+  and* after_close = batch
+  and* rest = list_size (int_bound 3) batch in
+  let closed = match first with Send (i, _, _) :: _ -> i | _ -> closed in
+  let+ first = shuffle_l (Send (big, 1, String.make 257 'o') :: first) in
+  (cfg, (first @ (Close closed :: after_close)) :: rest)
+
+let print_spec_case ((cores, batch, shard_block, max_queue), batches) =
+  let op = function
+    | Send (i, ecall, payload) ->
+        Printf.sprintf "send(s%d,e%d,%dB)" i ecall (String.length payload)
+    | Close i -> Printf.sprintf "close(s%d)" i
+  in
+  Printf.sprintf "cores=%d batch=%d shard_block=%d max_queue=%d: %s" cores
+    batch shard_block max_queue
+    (String.concat " | "
+       (List.map (fun ops -> String.concat " " (List.map op ops)) batches))
+
+let spec_qcheck =
+  QCheck.Test.make ~name:"replies match the reply spec" ~count:20
+    (QCheck.make ~print:print_spec_case spec_gen)
+    spec_property
+
+(* ------------------------------------------------------------------ *)
+(* Arena path: ring sharding                                           *)
 
 let test_arena_hot_tenant_scales () =
   (* The point of block-rotor sharding: one hot tenant's traffic spreads
@@ -917,122 +1056,6 @@ let test_arena_hot_tenant_scales () =
   Alcotest.(check bool)
     (Printf.sprintf "hot tenant 1->2 core speedup %.2fx >= 1.6x" speedup)
     true (speedup >= 1.6)
-
-let test_arena_per_session_order () =
-  (* Rotor sharding may split one session's burst across several rings;
-     replies must still come back in sequence order per session even
-     when three sessions' submissions interleave. *)
-  let config =
-    {
-      Serve.default_config with
-      Serve.max_queue = 256;
-      sched = { Sched.default_config with Sched.cores = 4; Sched.batch = 8 };
-    }
-  in
-  let p, plane, backend, client0 = build ~seed:7052L ~config () in
-  establish plane client0;
-  let client1 = extra_client p backend ~seed:7152L in
-  let client2 = extra_client p backend ~seed:7252L in
-  establish plane client1;
-  establish plane client2;
-  let clients = [| client0; client1; client2 |] in
-  let sent = Array.make (Array.length clients) [] in
-  for i = 0 to 19 do
-    Array.iteri
-      (fun c client ->
-        let payload = Printf.sprintf "s%d-%d" c i in
-        sent.(c) <- payload :: sent.(c);
-        match
-          Serve.submit plane
-            (Serve.Client.request client ~ecall:1 (Bytes.of_string payload))
-        with
-        | Ok () -> ()
-        | Error r -> Alcotest.failf "submit rejected: %a" Serve.pp_reject r)
-      clients
-  done;
-  let replies = Serve.flush plane in
-  Alcotest.(check int) "every request replied" 60 (List.length replies);
-  Array.iteri
-    (fun c client ->
-      let sid = Serve.Client.session_id client in
-      let mine =
-        List.filter (fun r -> r.Serve.r_session_id = sid) replies
-      in
-      Alcotest.(check int)
-        (Printf.sprintf "session %d reply count" c)
-        20 (List.length mine);
-      ignore
-        (List.fold_left
-           (fun prev (r : Serve.reply) ->
-             Alcotest.(check bool)
-               (Printf.sprintf "session %d seqs ascending" c)
-               true (r.Serve.r_seq > prev);
-             r.Serve.r_seq)
-           (-1) mine);
-      (* read_reply advances the client's expected sequence, so decoding
-         in list order also proves the bodies line up with what was sent. *)
-      List.iteri
-        (fun i (r : Serve.reply) ->
-          match Serve.Client.read_reply client r with
-          | Ok body ->
-              Alcotest.(check string)
-                (Printf.sprintf "session %d body %d" c i)
-                (Printf.sprintf "s%d-%d" c i)
-                (Bytes.to_string body)
-          | Error e ->
-              Alcotest.failf "read_reply failed: %a" Serve.pp_reject e)
-        mine)
-    clients;
-  Serve.destroy plane
-
-let test_close_session_mid_stage () =
-  (* Closing a session with requests already staged in the arena must
-     drop exactly those slots: the flush serves the surviving session
-     only, and the tenant's queue accounting stays consistent. *)
-  let p, plane, backend, client_a = build ~seed:7053L () in
-  establish plane client_a;
-  let client_b = extra_client p backend ~seed:7153L in
-  establish plane client_b;
-  let submit client tag i =
-    match
-      Serve.submit plane
-        (Serve.Client.request client ~ecall:1
-           (Bytes.of_string (Printf.sprintf "%s-%d" tag i)))
-    with
-    | Ok () -> ()
-    | Error r -> Alcotest.failf "submit rejected: %a" Serve.pp_reject r
-  in
-  for i = 0 to 3 do
-    submit client_a "a" i;
-    submit client_b "b" i
-  done;
-  (match
-     Serve.close_session plane ~session:(Serve.Client.session_id client_a)
-   with
-  | Ok () -> ()
-  | Error r -> Alcotest.failf "close_session failed: %a" Serve.pp_reject r);
-  let replies = Serve.flush plane in
-  Alcotest.(check int) "only the live session replied" 4
-    (List.length replies);
-  let sid_b = Serve.Client.session_id client_b in
-  List.iter
-    (fun (r : Serve.reply) ->
-      Alcotest.(check int) "reply belongs to the live session" sid_b
-        r.Serve.r_session_id;
-      match Serve.Client.read_reply client_b r with
-      | Ok _ -> ()
-      | Error e -> Alcotest.failf "read_reply failed: %a" Serve.pp_reject e)
-    replies;
-  (* Queue accounting: the dead slots were released, so the live session
-     can still fill the whole queue, and the closed one is gone. *)
-  submit client_b "b2" 0;
-  (match Serve.flush plane with
-  | [ { Serve.r_result = Ok _; _ } ] -> ()
-  | _ -> Alcotest.fail "post-close flush should serve one request");
-  expect_reject "unknown-session"
-    (Serve.submit plane
-       (Serve.Client.request client_a ~ecall:1 (Bytes.of_string "ghost")));
-  Serve.destroy plane
 
 let suite =
   [
@@ -1081,11 +1104,7 @@ let suite =
     Alcotest.test_case "ticket expired" `Quick test_ticket_expired;
     Alcotest.test_case "ticket replay rejected" `Quick test_ticket_replay_rejected;
     Alcotest.test_case "telemetry counters" `Quick test_telemetry_counters;
-    QCheck_alcotest.to_alcotest arena_identity_qcheck;
+    QCheck_alcotest.to_alcotest spec_qcheck;
     Alcotest.test_case "arena hot tenant scales across cores" `Quick
       test_arena_hot_tenant_scales;
-    Alcotest.test_case "arena preserves per-session reply order" `Quick
-      test_arena_per_session_order;
-    Alcotest.test_case "close session mid-stage drops arena slots" `Quick
-      test_close_session_mid_stage;
   ]
