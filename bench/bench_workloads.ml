@@ -6,8 +6,9 @@
    (lib/serve/services.ml): every request is sealed under a session key,
    admitted into the arena, decrypted in its ring slot, dispatched
    through the service's LibOS event loop (loopback socket + epoll), and
-   the reply is sealed in place.  Three headline rates gate regressions
-   (see BENCH_PR9.json and perf_smoke.ml, 25% budget):
+   the reply is sealed in place.  Three headline rates feed the perf
+   gate (the row list in perf_smoke.ml, baselines in
+   PERF_BASELINE.json):
 
    - resp_kv: zipfian YCSB-shaped RESP pipelines against the in-enclave
      store, SETs journaled to the AOF (Fig. 8d's redis);
@@ -261,45 +262,3 @@ let smoke () =
        (List.map
           (fun (name, served, _) -> Printf.sprintf "%s %d served" name served)
           checks))
-
-let write_baseline path =
-  let s = summarize () in
-  let oc = open_out path in
-  Printf.fprintf oc "{\n  \"schema\": \"hyperenclave-perf/1\",\n";
-  Printf.fprintf oc "  \"workload_rps_resp_kv\": %.1f,\n" s.rps_resp;
-  Printf.fprintf oc "  \"workload_rps_kvdb\": %.1f,\n" s.rps_kvdb;
-  Printf.fprintf oc "  \"workload_rps_httpd\": %.1f\n}\n" s.rps_httpd;
-  close_out oc;
-  Printf.printf "workloads baseline written to %s\n" path
-
-(* Deterministic regression gate: each service's headline attested rate
-   must stay within 25% of the committed baseline. *)
-let check_baseline path =
-  let tolerance = 1.25 in
-  let s = summarize () in
-  let gate key measured =
-    match Util.perf_json_number ~path ~key with
-    | None ->
-        Printf.eprintf
-          "workloads gate: no \"%s\" in %s — regenerate with: perf_smoke.exe \
-           --write-workloads %s\n"
-          key path path;
-        exit 2
-    | Some baseline ->
-        let ratio = baseline /. measured in
-        Printf.printf "workloads gate: %s %.0f req/s vs %.0f baseline (%.2fx)\n"
-          key measured baseline ratio;
-        if ratio > tolerance then begin
-          Printf.eprintf
-            "workloads gate: FAIL — %s regressed %.0f%% past the 25%% \
-             budget.\nFix the regression or consciously re-baseline with: \
-             perf_smoke.exe --write-workloads %s\n"
-            key
-            ((ratio -. 1.0) *. 100.0)
-            path;
-          exit 1
-        end
-  in
-  gate "workload_rps_resp_kv" s.rps_resp;
-  gate "workload_rps_kvdb" s.rps_kvdb;
-  gate "workload_rps_httpd" s.rps_httpd

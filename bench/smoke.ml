@@ -1,10 +1,10 @@
 (* Trimmed, deterministic slice of the benchmark suite used as the
    wall-clock smoke test: a few seconds of the same kernels the full
    harness leans on (memory simulation with every engine, SHA-256, AES
-   CTR/XTS, HMAC).  `main.exe --perf-json` times one run of this and
-   records it as "perf_smoke_wall_seconds"; `perf_smoke.exe` re-times it
-   against that committed baseline and fails loudly on regression, so a
-   perf-destroying change to the simulator can't land silently.
+   CTR/XTS, HMAC).  `perf_smoke.exe` times one run of this against the
+   "perf_smoke_wall_seconds" row of PERF_BASELINE.json and fails loudly
+   on regression, so a perf-destroying change to the simulator can't
+   land silently.
 
    Everything here is seeded and sized identically on every run — the
    only thing that varies between machines/builds is the wall clock. *)

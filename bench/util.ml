@@ -85,91 +85,24 @@ let human_bytes n =
 
 let note fmt = Printf.printf fmt
 
-(* --- wall-clock perf baseline ------------------------------------------
-   `--perf-json FILE` records, per experiment, the wall-clock seconds it
-   took to regenerate and the simulated cycles it accumulated
-   (Cycles.total_ticked deltas).  Schema "hyperenclave-perf/1"; written
-   by hand so the harness needs no JSON dependency. *)
-
-type perf_entry = {
-  perf_name : string;
-  wall_seconds : float;
-  simulated_cycles : int;
-  minor_words : float;  (* GC minor words allocated regenerating it *)
-}
-
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let write_perf_json ~path ~smoke_wall_seconds entries =
-  let oc = open_out path in
-  let total_wall =
-    List.fold_left (fun acc e -> acc +. e.wall_seconds) 0.0 entries
-  in
-  Printf.fprintf oc "{\n  \"schema\": \"hyperenclave-perf/1\",\n";
-  Printf.fprintf oc "  \"total_wall_seconds\": %.3f,\n" total_wall;
-  (match smoke_wall_seconds with
-  | Some s -> Printf.fprintf oc "  \"perf_smoke_wall_seconds\": %.3f,\n" s
-  | None -> ());
-  Printf.fprintf oc "  \"experiments\": [";
-  List.iteri
-    (fun i e ->
-      Printf.fprintf oc
-        "%s\n    { \"name\": \"%s\", \"wall_seconds\": %.3f, \"simulated_cycles\": %d, \"minor_words\": %.0f }"
-        (if i = 0 then "" else ",")
-        (json_escape e.perf_name) e.wall_seconds e.simulated_cycles
-        e.minor_words)
-    entries;
-  Printf.fprintf oc "\n  ]\n}\n";
-  close_out oc;
-  Printf.printf "\nperf baseline written to %s (%.1fs wall total)\n" path
-    total_wall
-
-(* Crude single-key number extraction, enough to read back the files
-   [write_perf_json] produces without a JSON parser. *)
+(* Crude single-key number extraction from a flat JSON object
+   (PERF_BASELINE.json, MC_BASELINE.json), so the harness needs no JSON
+   dependency. *)
 let perf_json_number ~path ~key =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let contents = really_input_string ic len in
-  close_in ic;
+  let s = In_channel.with_open_bin path In_channel.input_all in
   let needle = "\"" ^ key ^ "\":" in
-  match
-    (* Find the needle, then parse the number that follows. *)
-    String.index_opt contents '{'
-  with
-  | None -> None
-  | Some _ -> (
-      let rec find_from i =
-        if i + String.length needle > String.length contents then None
-        else if String.sub contents i (String.length needle) = needle then
-          Some (i + String.length needle)
-        else find_from (i + 1)
-      in
-      match find_from 0 with
-      | None -> None
-      | Some start ->
-          let stop = ref start in
-          while
-            !stop < String.length contents
-            && (match contents.[!stop] with
-               | '0' .. '9' | '.' | '-' | '+' | 'e' | 'E' | ' ' -> true
-               | _ -> false)
-          do
-            incr stop
-          done;
-          float_of_string_opt
-            (String.trim (String.sub contents start (!stop - start))))
+  let n = String.length needle in
+  let rec find i =
+    if i + n > String.length s then None
+    else if String.sub s i n = needle then Some (i + n)
+    else find (i + 1)
+  in
+  Option.bind (find 0) (fun start ->
+      let stop = ref start in
+      while !stop < String.length s && String.contains "0123456789.-+eE " s.[!stop] do
+        incr stop
+      done;
+      float_of_string_opt (String.trim (String.sub s start (!stop - start))))
 
 (* Per-phase telemetry deltas: wrap a bench phase, diff the monitor's
    counters across it, and print whatever moved.  Deltas only — earlier

@@ -1,8 +1,9 @@
 type t = { mutable now : int }
 
-(* Process-wide sum of every tick on every clock, for wall-clock-vs-work
-   accounting (the --perf-json baseline).  [reset] deliberately leaves it
-   alone: it counts simulation work performed, not clock positions. *)
+(* Process-wide sum of every tick on every clock, for costs that span
+   several clocks (a fleet call's node work plus wire time).  [reset]
+   deliberately leaves it alone: it counts simulation work performed, not
+   clock positions. *)
 let grand_total = ref 0
 
 let create () = { now = 0 }

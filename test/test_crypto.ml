@@ -208,6 +208,28 @@ let test_ctr_into () =
       Aes.ctr_into ~key ~nonce ~src:buf ~src_off:1 ~dst:buf ~dst_off:0
         ~len:(Bytes.length buf))
 
+(* The CTR keystream runs once per 16-byte block on every sealed request
+   and every swapped page, so its steady state must not allocate: only
+   the per-call counter block and state array may, amortised over the
+   256 blocks of a 4 KiB slice. *)
+let test_ctr_into_allocation () =
+  let key = Aes.expand_key (Bytes.of_string "0123456789abcdef") in
+  let nonce = Bytes.make 12 '\x07' in
+  let buf = Bytes.make 4096 'p' in
+  let blocks = Bytes.length buf / 16 and calls = 16 in
+  let run () =
+    Aes.ctr_into ~key ~nonce ~src:buf ~src_off:0 ~dst:buf ~dst_off:0
+      ~len:(Bytes.length buf)
+  in
+  run ();
+  let words0 = Gc.minor_words () in
+  for _ = 1 to calls do
+    run ()
+  done;
+  let per_block = (Gc.minor_words () -. words0) /. float_of_int (calls * blocks) in
+  if per_block >= 1.0 then
+    Alcotest.failf "ctr_into allocates %.2f minor words per block" per_block
+
 let test_update_sub () =
   let data = Bytes.of_string "incremental hashing over sub-slices" in
   let ctx = Sha256.init () in
@@ -336,6 +358,8 @@ let suite =
       Alcotest.test_case "signatures" `Quick test_signature;
       Alcotest.test_case "authenc" `Quick test_authenc;
       Alcotest.test_case "aes ctr_into slices" `Quick test_ctr_into;
+      Alcotest.test_case "aes ctr_into steady state allocation-free" `Quick
+        test_ctr_into_allocation;
       Alcotest.test_case "sha256 update_sub" `Quick test_update_sub;
       Alcotest.test_case "hmac slices" `Quick test_hmac_slices;
       Alcotest.test_case "authenc zero-copy" `Quick test_authenc_zero_copy;

@@ -414,6 +414,124 @@ let export_decode_total =
           QCheck.Test.fail_reportf "damaged blob raised %s"
             (Printexc.to_string exn))
 
+(* --- session tickets: resume is total ------------------------------------------------ *)
+
+(* A plane with one attested session and a genuine ticket for it.  A
+   ticket crosses the network from an untrusted client, so [Serve.resume]
+   must turn any damaged one into a typed refusal. *)
+let ticket_fixture =
+  lazy
+    (let p = Platform.create ~seed:8200L () in
+     let plane =
+       Serve.create_node ~platform:p
+       @@ Serve.Node_config.v ~platform:p Serve.default_config
+     in
+     let backend =
+       Serve.add_tenant plane ~name:"fuzz"
+         {
+           (Backend.config (Backend.Hyperenclave Sgx_types.GU)) with
+           Backend.handlers = [ (1, fun _env input -> input) ];
+           code_seed = Some "fuzz";
+         }
+     in
+     let identity = Option.get backend.Backend.identity in
+     let client =
+       Serve.Client.create ~rng:(Rng.create ~seed:8201L)
+         ~golden:
+           (Verifier.golden_of_boot_log
+              ~ek_public:(Tpm.ek_public p.Platform.tpm)
+              (Monitor.boot_log p.Platform.monitor))
+         ~policy:
+           {
+             Verifier.expected_mrenclave = Some identity;
+             expected_mrsigner = None;
+             allow_debug = false;
+           }
+         ~expected_tenant:identity ()
+     in
+     (match Serve.handshake plane ~tenant:"fuzz" (Serve.Client.hello client) with
+     | Ok accept -> Result.get_ok (Serve.Client.establish client accept)
+     | Error _ -> failwith "ticket fixture: handshake refused");
+     ( plane,
+       Result.get_ok
+         (Serve.issue_ticket plane ~session:(Serve.Client.session_id client)) ))
+
+(* Damage to a ticket ([Authenc.encode] framing: four 4-byte big-endian
+   length words at offsets 0, 16, 35 and 39 + ciphertext length): random
+   bytes, truncation, byte flips, a length word near [max_int32] or
+   negative, or the genuine sealed record under another AAD domain. *)
+let ticket_damage_gen =
+  QCheck.Gen.(
+    let flips = list_size (int_range 1 4) (pair nat (int_range 1 255)) in
+    let word =
+      oneof
+        [
+          map (fun d -> Int32.(sub max_int (of_int d))) small_nat;
+          map (fun d -> Int32.(add min_int (of_int d))) small_nat;
+          map Int32.of_int int;
+        ]
+    in
+    oneof
+      [
+        map (fun s _ -> Bytes.of_string s) string;
+        map (fun n b -> Bytes.sub b 0 (n mod Bytes.length b)) nat;
+        map
+          (fun flips b ->
+            let b = Bytes.copy b in
+            List.iter
+              (fun (pos, mask) ->
+                let pos = pos mod Bytes.length b in
+                Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor mask)))
+              flips;
+            b)
+          flips;
+        map2
+          (fun which w b ->
+            let b = Bytes.copy b in
+            let tag_word = 39 + Int32.to_int (Bytes.get_int32_be b 35) in
+            Bytes.set_int32_be b [| 0; 16; 35; tag_word |].(which) w;
+            b)
+          (int_bound 3) word;
+        map
+          (fun aad b ->
+            Crypto.Authenc.encode
+              { (Crypto.Authenc.decode b) with Crypto.Authenc.aad = Bytes.of_string aad })
+          (oneof [ oneofl [ ""; "serve-ticket:v2"; "serve-session" ]; string ]);
+      ])
+
+let ticket_nonce = ref 0
+
+let ticket_resume_total =
+  QCheck.Test.make ~name:"session ticket resume total on damaged tickets"
+    ~count:300
+    (QCheck.make QCheck.Gen.(pair ticket_damage_gen bool))
+    (fun (damage, reuse_nonce) ->
+      let plane, ticket = Lazy.force ticket_fixture in
+      let damaged = damage ticket in
+      incr ticket_nonce;
+      let r =
+        {
+          Serve.r_ticket = damaged;
+          r_nonce = Bytes.of_string (Printf.sprintf "fuzz-%d" !ticket_nonce);
+        }
+      in
+      let outcome () =
+        match Serve.resume plane r with
+        | Ok _ -> "ok"
+        | Error reject -> Serve.reject_name reject
+        | exception exn ->
+            QCheck.Test.fail_reportf "resume raised %s" (Printexc.to_string exn)
+      in
+      (* A damage that happens to leave the ticket intact is no case. *)
+      Bytes.equal damaged ticket
+      ||
+      let first = outcome () in
+      if first <> "bad-ticket" then
+        QCheck.Test.fail_reportf "damaged ticket gave %s" first;
+      let again = if reuse_nonce then outcome () else "replayed-nonce" in
+      again = "replayed-nonce"
+      || QCheck.Test.fail_reportf "reused nonce gave %s" again)
+
 (* --- determinism -------------------------------------------------------------------- *)
 
 let platform_cycle_determinism =
@@ -458,6 +576,7 @@ let suite =
       ring_frame_truncation;
       ring_frame_corrupt_length;
       export_decode_total;
+      ticket_resume_total;
       libos_fd_invariants;
       platform_cycle_determinism;
     ]
