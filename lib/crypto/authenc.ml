@@ -2,53 +2,34 @@ type sealed = { nonce : bytes; ciphertext : bytes; tag : bytes; aad : bytes }
 
 exception Authentication_failure
 
-let split_key key =
-  if Bytes.length key <> 32 then invalid_arg "Authenc: key must be 32 bytes";
-  let enc_key = Hmac.derive ~key ~info:"authenc-enc" in
-  let mac_key = Hmac.derive ~key ~info:"authenc-mac" in
-  (Bytes.sub enc_key 0 16, mac_key)
-
-let mac_input ~nonce ~aad ~ciphertext =
-  let buf = Buffer.create (Bytes.length ciphertext + 64) in
-  let add_framed b =
-    let len = Bytes.create 4 in
-    Bytes.set_int32_be len 0 (Int32.of_int (Bytes.length b));
-    Buffer.add_bytes buf len;
-    Buffer.add_bytes buf b
-  in
-  add_framed nonce;
-  add_framed aad;
-  add_framed ciphertext;
-  Buffer.to_bytes buf
-
-(* Prepared key material for the zero-copy path: the HKDF split and the
-   AES key schedule are paid once per session instead of once per seal. *)
-type keys = { enc : Aes.key; mac : bytes }
+(* Prepared key material: the HKDF split, the AES key schedule and the
+   HMAC pads are paid once per key instead of once per message.  [hdr]
+   is the scratch for the 4-byte length prefix of each MAC field. *)
+type keys = { enc : Aes.key; mac : Hmac.prepared; hdr : bytes }
 
 let prepare key =
-  let enc_key, mac_key = split_key key in
-  { enc = Aes.expand_key enc_key; mac = mac_key }
+  if Bytes.length key <> 32 then invalid_arg "Authenc: key must be 32 bytes";
+  let enc_key = Hmac.derive ~key ~info:"authenc-enc" in
+  {
+    enc = Aes.expand_key (Bytes.sub enc_key 0 16);
+    mac = Hmac.prepare (Hmac.derive ~key ~info:"authenc-mac");
+    hdr = Bytes.create 4;
+  }
 
-(* The MAC input of [mac_input] expressed as slices, so ring-resident
-   ciphertext is hashed in place instead of copied into a scratch
-   buffer.  Framing must match [mac_input] byte for byte. *)
-let mac_slices ~nonce ~aad ~ct ~ct_off ~ct_len =
-  let hdr n =
-    let b = Bytes.create 4 in
-    Bytes.set_int32_be b 0 (Int32.of_int n);
-    b
-  in
-  [
-    (hdr (Bytes.length nonce), 0, 4);
-    (nonce, 0, Bytes.length nonce);
-    (hdr (Bytes.length aad), 0, 4);
-    (aad, 0, Bytes.length aad);
-    (hdr ct_len, 0, 4);
-    (ct, ct_off, ct_len);
-  ]
+let absorb_framed keys b ~off ~len =
+  Bytes.set_int32_be keys.hdr 0 (Int32.of_int len);
+  Hmac.absorb keys.mac keys.hdr ~off:0 ~len:4;
+  Hmac.absorb keys.mac b ~off ~len
 
+(* The MAC input is nonce, AAD and ciphertext, each prefixed by its
+   32-bit big-endian length; the ciphertext is hashed where it lies
+   (e.g. in a ring slot). *)
 let tag_of_slice keys ~nonce ~aad ~ct ~ct_off ~ct_len =
-  Hmac.hmac_slices ~key:keys.mac (mac_slices ~nonce ~aad ~ct ~ct_off ~ct_len)
+  Hmac.start keys.mac;
+  absorb_framed keys nonce ~off:0 ~len:(Bytes.length nonce);
+  absorb_framed keys aad ~off:0 ~len:(Bytes.length aad);
+  absorb_framed keys ct ~off:ct_off ~len:ct_len;
+  Hmac.finish keys.mac
 
 let seal_into keys ?(aad = Bytes.empty) ~nonce ~src ~src_off ~dst ~dst_off ~len
     () =
@@ -83,21 +64,25 @@ let unseal_in_place keys ?(aad = Bytes.empty) ~nonce ~tag buf ~off ~len =
   Aes.ctr_into ~key:keys.enc ~nonce ~src:buf ~src_off:off ~dst:buf ~dst_off:off
     ~len
 
+(* The one-shot forms prepare the key for a single message. *)
 let seal ~key ?(aad = Bytes.empty) ~nonce plaintext =
-  if Bytes.length nonce <> 12 then invalid_arg "Authenc.seal: nonce must be 12 bytes";
-  let enc_key, mac_key = split_key key in
-  let ciphertext = Aes.ctr_transform ~key:enc_key ~nonce plaintext in
-  let tag = Hmac.hmac ~key:mac_key (mac_input ~nonce ~aad ~ciphertext) in
+  let keys = prepare key in
+  let len = Bytes.length plaintext in
+  let ciphertext = Bytes.create len in
+  let tag =
+    seal_into keys ~aad ~nonce ~src:plaintext ~src_off:0 ~dst:ciphertext
+      ~dst_off:0 ~len ()
+  in
   { nonce; ciphertext; tag; aad }
 
 let unseal ~key sealed =
-  let enc_key, mac_key = split_key key in
-  let expected =
-    Hmac.hmac ~key:mac_key
-      (mac_input ~nonce:sealed.nonce ~aad:sealed.aad ~ciphertext:sealed.ciphertext)
-  in
-  if not (Sha256.equal expected sealed.tag) then raise Authentication_failure;
-  Aes.ctr_transform ~key:enc_key ~nonce:sealed.nonce sealed.ciphertext
+  let keys = prepare key in
+  if not (verify_sealed keys sealed) then raise Authentication_failure;
+  let len = Bytes.length sealed.ciphertext in
+  let plaintext = Bytes.create len in
+  decrypt_into keys ~nonce:sealed.nonce ~src:sealed.ciphertext ~src_off:0
+    ~dst:plaintext ~dst_off:0 ~len;
+  plaintext
 
 let encode sealed =
   let buf = Buffer.create (Bytes.length sealed.ciphertext + 64) in

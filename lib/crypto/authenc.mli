@@ -2,8 +2,8 @@
     HMAC-SHA256 tag.
 
     Backs TPM sealing and the SDK's [sgx_seal_data] equivalent.  The key is
-    any 32-byte secret; the first 16 bytes key the cipher, the last 16 key
-    the MAC (after domain separation). *)
+    any 32-byte secret; HKDF derives the 16-byte cipher key and the
+    32-byte MAC key from it under two labels. *)
 
 type sealed = {
   nonce : bytes;  (** 12 bytes *)
@@ -15,21 +15,33 @@ type sealed = {
 exception Authentication_failure
 
 val seal : key:bytes -> ?aad:bytes -> nonce:bytes -> bytes -> sealed
-(** @raise Invalid_argument if [key] is not 32 bytes or nonce not 12. *)
+(** The cold path for a key used once (a TPM seal, a swap blob, a
+    ticket): {!prepare} then {!seal_into} into a fresh ciphertext.
+    @raise Invalid_argument if [key] is not 32 bytes or nonce not 12. *)
 
 val unseal : key:bytes -> sealed -> bytes
-(** @raise Authentication_failure if the tag, AAD, or key is wrong. *)
+(** The cold path: {!prepare}, {!verify_sealed}, then {!decrypt_into}
+    a fresh plaintext.
+    @raise Authentication_failure if the tag, AAD, or key is wrong. *)
 
-(** {2 Zero-copy path}
+(** {2 Prepared keys and the zero-copy path}
 
-    [prepare] pays the HKDF key split and AES key schedule once; the
-    [_into]/[_in_place] operations then run the cipher over
-    caller-provided buffer slices (e.g. ring-resident frames) without
-    allocating plaintext/ciphertext copies.  All of them are
-    byte-compatible with {!seal}/{!unseal} on the same key material. *)
+    [prepare] pays the HKDF key split, the AES key schedule and the
+    HMAC pad blocks once, so a key used for many messages (both ends of
+    a session) should be prepared once and kept.  The operations below
+    then run the cipher over caller-provided buffer slices (e.g.
+    ring-resident frames) and compute the tag without copying the
+    message; a tag allocates only its 32-byte result.  The MAC input is
+    nonce, AAD and ciphertext, each prefixed by its 32-bit big-endian
+    length, and every operation is byte-compatible with {!seal} /
+    {!unseal} on the same key. *)
 
 type keys
-(** Prepared (pre-expanded) key material for one 32-byte key. *)
+(** Prepared key material for one 32-byte key.  It carries the MAC's
+    running state, so one [keys] value must not be used by two tag
+    computations at once (from two domains, or re-entrantly).  The
+    library runs on one domain and no callback runs mid-tag, so
+    sequential use from anywhere is fine. *)
 
 val prepare : bytes -> keys
 (** @raise Invalid_argument if the key is not 32 bytes. *)

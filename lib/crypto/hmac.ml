@@ -12,37 +12,45 @@ let xor_pad_in_place pad byte =
       (Char.unsafe_chr (Char.code (Bytes.unsafe_get pad i) lxor byte))
   done
 
-let hmac ~key msg =
+(* A prepared key keeps only the chaining states after the ipad and
+   opad blocks (two 8-word arrays) plus one work context and a digest
+   scratch reused by every tag: a tag skips the two pad compressions
+   and allocates nothing but its 32-byte result. *)
+type prepared = {
+  inner : int array;
+  outer : int array;
+  work : Sha256.ctx;
+  digest : bytes;
+}
+
+let prepare key =
   (* [normalize_key] already copies, so the pad mutates that copy:
      XOR 0x36 makes the inner pad, and re-XORing with 0x36 lxor 0x5c
      turns it into the outer pad without a second buffer. *)
   let pad = normalize_key key in
   xor_pad_in_place pad 0x36;
-  let inner = Sha256.init () in
-  Sha256.update inner pad;
-  Sha256.update inner msg;
-  let inner_digest = Sha256.finalize inner in
+  let work = Sha256.init () in
+  Sha256.update work pad;
+  let inner = Sha256.chain work in
   xor_pad_in_place pad (0x36 lxor 0x5c);
-  let outer = Sha256.init () in
-  Sha256.update outer pad;
-  Sha256.update outer inner_digest;
-  Sha256.finalize outer
+  let outer_ctx = Sha256.init () in
+  Sha256.update outer_ctx pad;
+  { inner; outer = Sha256.chain outer_ctx; work; digest = Bytes.create 32 }
 
-(* HMAC over a concatenation of slices, none of which are copied: the
-   zero-copy AEAD path MACs length-prefix headers and ring-resident
-   ciphertext without assembling the message in a scratch buffer. *)
-let hmac_slices ~key slices =
-  let pad = normalize_key key in
-  xor_pad_in_place pad 0x36;
-  let inner = Sha256.init () in
-  Sha256.update inner pad;
-  List.iter (fun (b, off, len) -> Sha256.update_sub inner b ~off ~len) slices;
-  let inner_digest = Sha256.finalize inner in
-  xor_pad_in_place pad (0x36 lxor 0x5c);
-  let outer = Sha256.init () in
-  Sha256.update outer pad;
-  Sha256.update outer inner_digest;
-  Sha256.finalize outer
+let start p = Sha256.restart p.work p.inner
+let absorb p b ~off ~len = Sha256.update_sub p.work b ~off ~len
+
+let finish p =
+  Sha256.finalize_into p.work p.digest;
+  Sha256.restart p.work p.outer;
+  Sha256.update_sub p.work p.digest ~off:0 ~len:32;
+  Sha256.finalize p.work
+
+let hmac ~key msg =
+  let p = prepare key in
+  start p;
+  absorb p msg ~off:0 ~len:(Bytes.length msg);
+  finish p
 
 (* [hmac] never mutates [msg], so borrow the string's bytes. *)
 let hmac_string ~key msg = hmac ~key (Bytes.unsafe_of_string msg)

@@ -5,12 +5,30 @@
     K_root and the enclave's measurement") is built on these. *)
 
 val hmac : key:bytes -> bytes -> bytes
-(** HMAC-SHA256; 32-byte tag. *)
+(** HMAC-SHA256; 32-byte tag.  The cold path: it prepares the key for
+    this one message. *)
 
-val hmac_slices : key:bytes -> (bytes * int * int) list -> bytes
-(** HMAC-SHA256 over the concatenation of [(buf, off, len)] slices,
-    absorbed in order without copying any of them — equal to {!hmac}
-    over the concatenated message. *)
+(** {2 Prepared keys}
+
+    A key used for many tags (a session's MAC key) is prepared once:
+    the inner and outer pad blocks are hashed at {!prepare}, so a tag
+    costs two compressions fewer than {!hmac} and allocates only its
+    result.  A tag is [start], any number of [absorb]s (the message is
+    their concatenation, taken in place from caller buffers), then
+    [finish].  A prepared key holds one running tag: do not interleave
+    two tag computations on it. *)
+
+type prepared
+
+val prepare : bytes -> prepared
+val start : prepared -> unit
+
+val absorb : prepared -> bytes -> off:int -> len:int -> unit
+(** @raise Invalid_argument on an out-of-bounds slice. *)
+
+val finish : prepared -> bytes
+(** The 32-byte tag over everything absorbed since {!start}: equal to
+    {!hmac} with the same key over the concatenated message. *)
 
 val hmac_string : key:bytes -> string -> bytes
 val verify : key:bytes -> bytes -> tag:bytes -> bool

@@ -136,30 +136,52 @@ let copy ctx =
     finalized = ctx.finalized;
   }
 
-let finalize ctx =
+(* Chaining state after exactly one absorbed block, and the inverse:
+   HMAC saves the state after its key-pad block and restarts from it
+   for every tag instead of re-hashing the pad. *)
+let chain ctx =
+  if ctx.total <> 64 || ctx.buf_len <> 0 || ctx.finalized then
+    invalid_arg "Sha256.chain: context is not exactly one block in";
+  Array.copy ctx.h
+
+let restart ctx h =
+  Array.blit h 0 ctx.h 0 8;
+  ctx.buf_len <- 0;
+  ctx.total <- 64;
+  ctx.finalized <- false
+
+(* Padding is written straight into [ctx.buf]: 0x80, zeros, then the
+   64-bit big-endian bit length, spilling into a second compression
+   when fewer than 9 bytes of the block are free. *)
+let finalize_into ctx out =
   if ctx.finalized then invalid_arg "Sha256.finalize: already finalized";
+  if Bytes.length out < digest_size then
+    invalid_arg "Sha256.finalize_into: output shorter than 32 bytes";
   ctx.finalized <- true;
-  let bit_len = Int64.of_int (ctx.total * 8) in
-  let pad_len =
-    let rem = (ctx.total + 1 + 8) mod 64 in
-    if rem = 0 then 1 else 1 + (64 - rem)
-  in
-  let tail = Bytes.make (pad_len + 8) '\000' in
-  Bytes.set tail 0 '\x80';
-  Bytes.set_int64_be tail pad_len bit_len;
-  (* Absorb the tail directly (bypassing the finalized flag). *)
-  ctx.finalized <- false;
-  update ctx tail;
-  ctx.finalized <- true;
-  ctx.total <- ctx.total - Bytes.length tail;
-  assert (ctx.buf_len = 0);
-  let out = Bytes.create 32 in
+  let buf = ctx.buf and n = ctx.buf_len in
+  Bytes.unsafe_set buf n '\x80';
+  if n >= 56 then begin
+    Bytes.fill buf (n + 1) (63 - n) '\000';
+    compress ctx buf 0;
+    Bytes.fill buf 0 56 '\000'
+  end
+  else Bytes.fill buf (n + 1) (55 - n) '\000';
+  let bits = ctx.total * 8 in
+  for i = 0 to 7 do
+    Bytes.unsafe_set buf (63 - i) (Char.unsafe_chr ((bits lsr (8 * i)) land 0xff))
+  done;
+  compress ctx buf 0;
+  ctx.buf_len <- 0;
   for i = 0 to 7 do
     Bytes.set out (4 * i) (Char.chr ((ctx.h.(i) lsr 24) land 0xff));
     Bytes.set out ((4 * i) + 1) (Char.chr ((ctx.h.(i) lsr 16) land 0xff));
     Bytes.set out ((4 * i) + 2) (Char.chr ((ctx.h.(i) lsr 8) land 0xff));
     Bytes.set out ((4 * i) + 3) (Char.chr (ctx.h.(i) land 0xff))
-  done;
+  done
+
+let finalize ctx =
+  let out = Bytes.create digest_size in
+  finalize_into ctx out;
   out
 
 let digest_bytes data =

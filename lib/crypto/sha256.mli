@@ -19,6 +19,23 @@ val finalize : ctx -> bytes
 (** Finalizing consumes the context; further [update]s raise
     [Invalid_argument]. *)
 
+val finalize_into : ctx -> bytes -> unit
+(** {!finalize} writing the digest into the first 32 bytes of the given
+    buffer instead of a fresh one; the padding is built inside the
+    context, so this allocates nothing.
+    @raise Invalid_argument if the buffer is shorter than 32 bytes. *)
+
+val chain : ctx -> int array
+(** The 8-word chaining state of a context that has absorbed exactly one
+    64-byte block (a copy).
+    @raise Invalid_argument otherwise. *)
+
+val restart : ctx -> int array -> unit
+(** [restart ctx h] discards [ctx]'s contents and continues a hash whose
+    first 64 bytes left chaining state [h] (from {!chain}): a context
+    reused this way computes the same digests as a fresh one that
+    absorbed that block. *)
+
 val copy : ctx -> ctx
 (** Independent clone of a running context.  Lets a caller peek at the
     digest-so-far (finalize the copy) without consuming the original —

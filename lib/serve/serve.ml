@@ -1613,7 +1613,9 @@ module Client = struct
         (* pin to one node's monitor: in a fleet, golden measurements
            alone admit every honestly-booted sibling *)
     mutable hs : hs option;
-    mutable session : (int * bytes) option;  (* id, key *)
+    mutable session : (int * bytes * Authenc.keys) option;
+        (* id, key (kept to derive a resumed key), and the key prepared
+           once for every request and reply of the session *)
     mutable send_seq : int;
     mutable pending_resume : (bytes * bytes) option;
         (* (resumption nonce, ticketed key) while a resume is in flight *)
@@ -1645,7 +1647,7 @@ module Client = struct
     match t.session with
     | None ->
         invalid_arg "Serve.Client.resume_hello: no session key to resume from"
-    | Some (_, key) ->
+    | Some (_, key, _) ->
         let nonce = Rng.bytes t.rng 16 in
         t.pending_resume <- Some (nonce, key);
         t.hs <- None;
@@ -1657,8 +1659,9 @@ module Client = struct
     match t.pending_resume with
     | None -> invalid_arg "Serve.Client.complete_resume: no resume in flight"
     | Some (nonce, key) ->
+        let key = resumed_key ~key ~nonce in
         t.pending_resume <- None;
-        t.session <- Some (session_id, resumed_key ~key ~nonce)
+        t.session <- Some (session_id, key, Authenc.prepare key)
 
   let establish t (accept : accept) =
     match t.hs with
@@ -1701,38 +1704,41 @@ module Client = struct
                       match Kx.shared hs.secret accept.server_kx with
                       | None -> Error Unknown_key_share
                       | Some shared ->
+                          let key = derive_key ~shared ~nonce:hs.hs_nonce in
                           t.session <-
-                            Some
-                              ( accept.session_id,
-                                derive_key ~shared ~nonce:hs.hs_nonce );
+                            Some (accept.session_id, key, Authenc.prepare key);
                           Ok ()))))
 
   let session_id t =
     match t.session with
-    | Some (id, _) -> id
+    | Some (id, _, _) -> id
     | None -> invalid_arg "Serve.Client.session_id: no session established"
 
   let request t ~ecall data =
     match t.session with
     | None -> invalid_arg "Serve.Client.request: no session established"
-    | Some (session_id, key) ->
+    | Some (session_id, _, keys) ->
         let seq = t.send_seq in
         t.send_seq <- seq + 1;
+        let nonce = envelope_nonce ~dir:'>' ~seq in
+        let aad = aad_req ~session_id ~seq ~ecall_id:ecall in
+        let len = Bytes.length data in
+        let ciphertext = Bytes.create len in
+        let tag =
+          Authenc.seal_into keys ~aad ~nonce ~src:data ~src_off:0
+            ~dst:ciphertext ~dst_off:0 ~len ()
+        in
         {
           session_id;
           seq;
           ecall_id = ecall;
-          envelope =
-            Authenc.seal ~key
-              ~aad:(aad_req ~session_id ~seq ~ecall_id:ecall)
-              ~nonce:(envelope_nonce ~dir:'>' ~seq)
-              data;
+          envelope = { Authenc.nonce; ciphertext; tag; aad };
         }
 
   let read_reply t (reply : reply) =
     match t.session with
     | None -> invalid_arg "Serve.Client.read_reply: no session established"
-    | Some (session_id, key) -> (
+    | Some (session_id, _, keys) -> (
         if reply.r_session_id <> session_id then
           Error (Unknown_session reply.r_session_id)
         else
@@ -1744,10 +1750,15 @@ module Client = struct
                   (Bytes.equal sealed.Authenc.aad
                      (aad_rep ~session_id ~seq:reply.r_seq))
               then Error Bad_auth
+              else if not (Authenc.verify_sealed keys sealed) then
+                Error Bad_auth
               else
-                match Authenc.unseal ~key sealed with
-                | exception Authenc.Authentication_failure -> Error Bad_auth
-                | body -> Ok body))
+                let len = Bytes.length sealed.Authenc.ciphertext in
+                let body = Bytes.create len in
+                Authenc.decrypt_into keys ~nonce:sealed.Authenc.nonce
+                  ~src:sealed.Authenc.ciphertext ~src_off:0 ~dst:body
+                  ~dst_off:0 ~len;
+                Ok body))
 
   let roundtrip plane t reqs =
     let submitted =

@@ -27,6 +27,26 @@ let test_sha256_vectors () =
     "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
     (hex (Sha256.digest_bytes (Bytes.make 1_000_000 'a')))
 
+(* Message lengths on both sides of the padding split: up to 55 bytes
+   of a block leave room for 0x80 and the 64-bit length, 56..63 spill
+   the length into a second compression.  Byte i of each message is
+   (13 i + 5) mod 256; expected digests from Python's hashlib. *)
+let test_sha256_padding_boundaries () =
+  List.iter
+    (fun (n, expected) ->
+      let msg = Bytes.init n (fun i -> Char.chr (((i * 13) + 5) land 0xff)) in
+      check_hex (Printf.sprintf "%d bytes" n) expected
+        (hex (Sha256.digest_bytes msg)))
+    [
+      (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
+      (55, "63c06c35402b73061b2b60338121fe8f4895640a178ed01c4b2e40ff8dcd1755");
+      (56, "86512867c0c0b58974d4a9f76fab04b3ed84c5ae5845bd807f809a7884ec24e5");
+      (63, "56547b4ccd1b089babcb872418aa6d3be61e3aba1b97e0eda0934d729ebe9e0c");
+      (64, "44aee5fa258a25ab9eeebaa630ea0ea92b017efb95fbce6f91c9c181e4d8ebe2");
+      (119, "6254840d9eae6aa6306503495f711a7a98d80c622280b8fdbc4a2e8fa5927800");
+      (120, "75304bcb12fabfd25d0d14a3bdfe209e4bc266b5686ad7d5dad3367ef836669f");
+    ]
+
 let test_sha256_incremental () =
   let data = "The quick brown fox jumps over the lazy dog, repeatedly." in
   let oneshot = Sha256.digest_string data in
@@ -65,6 +85,41 @@ let test_hmac_vectors () =
   check_hex "rfc4231 case 3"
     "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe"
     (hex (Hmac.hmac ~key:(Bytes.make 20 '\xaa') (Bytes.make 50 '\xdd')))
+
+(* RFC 4231 cases 4, 6 and 7, through the one-shot and a prepared key
+   (used twice, so the second tag runs on a restarted context).  Cases
+   6 and 7 use a 131-byte key, which is hashed down before padding. *)
+let test_hmac_prepared_vectors () =
+  let big_key = Bytes.make 131 '\xaa' in
+  List.iter
+    (fun (name, key, msg, expected) ->
+      let msg = Bytes.of_string msg in
+      check_hex (name ^ " one-shot") expected (hex (Hmac.hmac ~key msg));
+      let p = Hmac.prepare key in
+      for round = 1 to 2 do
+        Hmac.start p;
+        Hmac.absorb p msg ~off:0 ~len:(Bytes.length msg);
+        check_hex
+          (Printf.sprintf "%s prepared, tag %d" name round)
+          expected
+          (hex (Hmac.finish p))
+      done)
+    [
+      ( "rfc4231 case 4",
+        Bytes.init 25 (fun i -> Char.chr (i + 1)),
+        String.make 50 '\xcd',
+        "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b" );
+      ( "rfc4231 case 6",
+        big_key,
+        "Test Using Larger Than Block-Size Key - Hash Key First",
+        "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54" );
+      ( "rfc4231 case 7",
+        big_key,
+        "This is a test using a larger than block-size key and a larger \
+         than block-size data. The key needs to be hashed before being \
+         used by the HMAC algorithm.",
+        "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2" );
+    ]
 
 let test_hmac_verify () =
   let key = Bytes.of_string "0123456789abcdef0123456789abcdef" in
@@ -244,17 +299,33 @@ let test_update_sub () =
     (Invalid_argument "Sha256.update_sub: slice out of bounds") (fun () ->
       Sha256.update_sub ctx data ~off:1 ~len:(Bytes.length data))
 
-let test_hmac_slices () =
+(* A tag absorbed piecewise through a prepared key equals the one-shot
+   HMAC of the concatenation, across an empty slice and a slice that
+   straddles the first 64-byte block boundary (6 + 70 bytes).  Expected
+   tag from Python's hmac module. *)
+let test_hmac_piecewise () =
   let key = Bytes.of_string "hmac-slices-key" in
   let a = Bytes.of_string "first|" in
-  let b = Bytes.of_string "XXsecondYY" in
-  let whole = Bytes.cat a (Bytes.sub b 2 6) in
-  Alcotest.(check string)
-    "slices = concatenation"
-    (hex (Hmac.hmac ~key whole))
-    (hex
-       (Hmac.hmac_slices ~key
-          [ (a, 0, Bytes.length a); (b, 2, 6) ]))
+  let b =
+    Bytes.concat Bytes.empty
+      [
+        Bytes.of_string "XX";
+        Bytes.init 70 (fun i -> Char.chr (((i * 3) + 1) land 0xff));
+        Bytes.of_string "YY";
+      ]
+  in
+  let whole = Bytes.cat a (Bytes.sub b 2 70) in
+  let expected =
+    "621f847c545958e6f552ebd9f7969ea154be8ac80e6ce5f91b5fe804bc560853"
+  in
+  check_hex "one-shot over the concatenation" expected
+    (hex (Hmac.hmac ~key whole));
+  let p = Hmac.prepare key in
+  Hmac.start p;
+  Hmac.absorb p a ~off:0 ~len:(Bytes.length a);
+  Hmac.absorb p b ~off:0 ~len:0;
+  Hmac.absorb p b ~off:2 ~len:70;
+  check_hex "slices = concatenation" expected (hex (Hmac.finish p))
 
 let test_authenc_zero_copy () =
   let key = Hmac.derive ~key:(Bytes.of_string "root") ~info:"zc" in
@@ -309,6 +380,115 @@ let test_authenc_zero_copy () =
     (Bytes.to_string
        (Authenc.unseal ~key { Authenc.nonce; ciphertext = ct; tag; aad }))
 
+(* --- frozen AEAD bytes --------------------------------------------------------------------- *)
+
+(* Known-answer vectors captured from the implementation before AEAD
+   keys were prepared once per session (HKDF split and MAC framing
+   unchanged since).  They pin the bytes of every sealed blob: TPM
+   seals, EWB swap blobs, session tickets, migration blobs and session
+   envelopes.  Key bytes 0x40..0x5f, nonce 0xc0..0xcb, plaintext byte i
+   = (31 i + 7) mod 256.  The 4096-byte ciphertext is pinned by its
+   SHA-256. *)
+let kat_key = Bytes.init 32 (fun i -> Char.chr (0x40 + i))
+let kat_nonce = Bytes.init 12 (fun i -> Char.chr (0xc0 + i))
+let kat_aad = Bytes.of_string "hyperenclave-kat"
+let kat_plaintext n = Bytes.init n (fun i -> Char.chr (((i * 31) + 7) land 0xff))
+
+let kat_vectors =
+  [
+    (0, "", "b497c9c6bdc03b0c6a8df48d06a2d166b678ec353ecb7b728f7e76e619200162");
+    (1, "8b", "f3e8bcb5ae112b6c2b6de5842acdee8c38f73e9f2f1e6d04158cfae4e0267798");
+    ( 55,
+      "8be2d47650840fbe0edae3aba943da1f86b0898eb7f77dbb1595725490699d7545c740fc5c4d9723f04152b4b585aadd7cd37b18e8614c",
+      "8f74d7b4f05b677f3dcbabd0d18b89de78a457048c6c86c520074d79ff832448" );
+    ( 56,
+      "8be2d47650840fbe0edae3aba943da1f86b0898eb7f77dbb1595725490699d7545c740fc5c4d9723f04152b4b585aadd7cd37b18e8614c4e",
+      "27fd5752643def2288b23dcd377a8d59b26795e18c246280c9262f16a1ecaa96" );
+    ( 64,
+      "8be2d47650840fbe0edae3aba943da1f86b0898eb7f77dbb1595725490699d7545c740fc5c4d9723f04152b4b585aadd7cd37b18e8614c4e14c6f72ad3aa9bc9",
+      "0721936ad736394425e061fd68cedb9ff9cfe7c78c5dc02757dd5daa8a791838" );
+    ( 96,
+      "8be2d47650840fbe0edae3aba943da1f86b0898eb7f77dbb1595725490699d7545c740fc5c4d9723f04152b4b585aadd7cd37b18e8614c4e14c6f72ad3aa9bc984ed0fb2d13813bd63fe9b324c6202f08b57371276a1dda26c26f616da672cfd",
+      "71c8fe5af7e0d9f6eeba1693613ec86e36a50b35b6ea8d7cd55f84e692a0f14f" );
+    ( 4096,
+      "sha256:4490191e89345e73a723cb6e3b5d1860b3feb46fa280dcd69a957e7cd68bc3bc",
+      "95995a8d0dcc4e8968410db61f6b5b5f5c805bf5b0e96cb3d4cda5d0b9841d01" );
+  ]
+
+let kat_ct_hex ct =
+  if Bytes.length ct > 96 then "sha256:" ^ hex (Sha256.digest_bytes ct)
+  else hex ct
+
+let test_authenc_kat () =
+  let keys = Authenc.prepare kat_key in
+  List.iter
+    (fun (n, ct_hex, tag_hex) ->
+      let pt = kat_plaintext n in
+      let sealed = Authenc.seal ~key:kat_key ~aad:kat_aad ~nonce:kat_nonce pt in
+      check_hex (Printf.sprintf "seal ciphertext %d" n) ct_hex
+        (kat_ct_hex sealed.Authenc.ciphertext);
+      check_hex (Printf.sprintf "seal tag %d" n) tag_hex
+        (hex sealed.Authenc.tag);
+      let ct = Bytes.create n in
+      let tag =
+        Authenc.seal_into keys ~aad:kat_aad ~nonce:kat_nonce ~src:pt ~src_off:0
+          ~dst:ct ~dst_off:0 ~len:n ()
+      in
+      check_hex (Printf.sprintf "seal_into ciphertext %d" n) ct_hex
+        (kat_ct_hex ct);
+      check_hex (Printf.sprintf "seal_into tag %d" n) tag_hex (hex tag);
+      Alcotest.(check string)
+        (Printf.sprintf "unseal %d" n) (Bytes.to_string pt)
+        (Bytes.to_string (Authenc.unseal ~key:kat_key sealed)))
+    kat_vectors;
+  check_hex "encode (1-byte plaintext)"
+    "0000000cc0c1c2c3c4c5c6c7c8c9cacb000000106879706572656e636c6176652d6b6174000000018b00000020f3e8bcb5ae112b6c2b6de5842acdee8c38f73e9f2f1e6d04158cfae4e0267798"
+    (hex
+       (Authenc.encode
+          (Authenc.seal ~key:kat_key ~aad:kat_aad ~nonce:kat_nonce
+             (kat_plaintext 1))))
+
+(* Steady-state tag cost on prepared keys, 96-byte messages (an echo
+   request).  Before the HMAC pads were precomputed, every tag re-copied
+   the key pad, built two SHA-256 contexts, a slice list with three
+   length headers and a padding tail: 295 minor words per [seal_into]
+   and 272 per [verify_sealed] on OCaml 5.1 without flambda.  Now a
+   [seal_into] allocates its 32-byte tag and little else. *)
+let words_per_call ~calls f =
+  f ();
+  let words0 = Gc.minor_words () in
+  for _ = 1 to calls do
+    f ()
+  done;
+  (Gc.minor_words () -. words0) /. float_of_int calls
+
+let test_seal_into_allocation () =
+  let keys = Authenc.prepare kat_key in
+  let src = kat_plaintext 96 and dst = Bytes.create 96 in
+  let per_call =
+    words_per_call ~calls:200 (fun () ->
+        ignore
+          (Authenc.seal_into keys ~aad:kat_aad ~nonce:kat_nonce ~src ~src_off:0
+             ~dst ~dst_off:0 ~len:96 ()))
+  in
+  if per_call > 40.0 then
+    Alcotest.failf "seal_into allocates %.1f minor words per call (bound 40)"
+      per_call
+
+let test_verify_sealed_allocation () =
+  let keys = Authenc.prepare kat_key in
+  let sealed =
+    Authenc.seal ~key:kat_key ~aad:kat_aad ~nonce:kat_nonce (kat_plaintext 96)
+  in
+  let per_call =
+    words_per_call ~calls:200 (fun () ->
+        if not (Authenc.verify_sealed keys sealed) then
+          Alcotest.fail "verify_sealed rejected a valid envelope")
+  in
+  if per_call > 24.0 then
+    Alcotest.failf
+      "verify_sealed allocates %.1f minor words per call (bound 24)" per_call
+
 (* --- properties ---------------------------------------------------------------------------- *)
 
 let qcheck_tests =
@@ -350,6 +530,10 @@ let suite =
       Alcotest.test_case "sha256 incremental" `Quick test_sha256_incremental;
       Alcotest.test_case "sha256 equal" `Quick test_sha256_equal;
       Alcotest.test_case "hmac vectors" `Quick test_hmac_vectors;
+      Alcotest.test_case "hmac prepared-key vectors" `Quick
+        test_hmac_prepared_vectors;
+      Alcotest.test_case "sha256 padding boundaries" `Quick
+        test_sha256_padding_boundaries;
       Alcotest.test_case "hmac verify" `Quick test_hmac_verify;
       Alcotest.test_case "hkdf rfc5869" `Quick test_hkdf;
       Alcotest.test_case "aes fips vector" `Quick test_aes_vector;
@@ -361,6 +545,11 @@ let suite =
       Alcotest.test_case "aes ctr_into steady state allocation-free" `Quick
         test_ctr_into_allocation;
       Alcotest.test_case "sha256 update_sub" `Quick test_update_sub;
-      Alcotest.test_case "hmac slices" `Quick test_hmac_slices;
+      Alcotest.test_case "hmac slices" `Quick test_hmac_piecewise;
       Alcotest.test_case "authenc zero-copy" `Quick test_authenc_zero_copy;
+      Alcotest.test_case "authenc frozen known answers" `Quick test_authenc_kat;
+      Alcotest.test_case "authenc seal_into steady-state allocation" `Quick
+        test_seal_into_allocation;
+      Alcotest.test_case "authenc verify_sealed steady-state allocation" `Quick
+        test_verify_sealed_allocation;
     ]

@@ -1057,6 +1057,77 @@ let test_arena_hot_tenant_scales () =
     (Printf.sprintf "hot tenant 1->2 core speedup %.2fx >= 1.6x" speedup)
     true (speedup >= 1.6)
 
+(* ------------------------------------------------------------------ *)
+(* Client-side AEAD: frozen bytes and steady-state cost                *)
+
+let client_payload = Bytes.init 96 (fun i -> Char.chr (((i * 31) + 7) land 0xff))
+
+let session_key plane =
+  match Serve.export_tenant plane ~tenant:"acme" with
+  | Ok { Serve.x_sessions = [ x ]; _ } -> x.Serve.x_key
+  | Ok _ -> Alcotest.fail "expected exactly one exported session"
+  | Error r -> Alcotest.failf "export rejected: %a" Serve.pp_reject r
+
+(* The client seals with a key prepared once per session; its envelope
+   must stay byte-identical to the one-shot seal under the session key,
+   and to the bytes this deterministic handshake (platform seed 7000)
+   produced before the client prepared its keys. *)
+let test_client_envelope_frozen () =
+  let open Crypto in
+  let _p, plane, _backend, client = build () in
+  establish plane client;
+  let req = Serve.Client.request client ~ecall:1 client_payload in
+  let env = req.Serve.envelope in
+  Alcotest.(check string)
+    "envelope = Authenc.seal under the session key"
+    (Bytes.to_string
+       (Authenc.encode
+          (Authenc.seal ~key:(session_key plane) ~aad:env.Authenc.aad
+             ~nonce:env.Authenc.nonce client_payload)))
+    (Bytes.to_string (Authenc.encode env));
+  Alcotest.(check string)
+    "envelope bytes frozen"
+    "0000000c3e00000000000000000000000000002273657276652d7265713a000000000000000000000000000000000100000000000000000000600fed83f5299c32528ea6dc6963ded1a225a60c903ff947ef4a654cead14ce4e4df1f28e4dac408ebf7984d89050eb1f3b5b4a50c1e0568130687131f86dbc927b14d538137a02f320b7ab460dbb4d85c30a8747c6ce789b4bd0e5d8a6824263700000020b9bdec7504665fc75ee60f1af4d79295530711bc2ce79c65ff4e03836dd90afd"
+    (Sha256.to_hex (Authenc.encode env));
+  Serve.destroy plane
+
+(* One request plus the read-back of its reply, 96-byte echo, counting
+   only the client's own calls.  When the client re-derived HKDF, the
+   AES schedule and the HMAC pads per call this was 3215 minor words on
+   OCaml 5.1 without flambda; with the session's prepared keys it is
+   the envelope, the reply body and two tags. *)
+let test_client_allocation () =
+  let _p, plane, _backend, client = build () in
+  establish plane client;
+  let serve req =
+    (match Serve.submit plane req with
+    | Ok () -> ()
+    | Error r -> Alcotest.failf "submit rejected: %a" Serve.pp_reject r);
+    match Serve.flush plane with
+    | [ reply ] -> reply
+    | _ -> Alcotest.fail "expected one reply"
+  in
+  let calls = 50 and words = ref 0.0 in
+  for i = 0 to calls do
+    let w0 = Gc.minor_words () in
+    let req = Serve.Client.request client ~ecall:1 client_payload in
+    let w1 = Gc.minor_words () in
+    let reply = serve req in
+    let w2 = Gc.minor_words () in
+    let body = Serve.Client.read_reply client reply in
+    let w3 = Gc.minor_words () in
+    (match body with
+    | Ok b -> Alcotest.(check bool) "echoed" true (Bytes.equal b client_payload)
+    | Error r -> Alcotest.failf "read_reply failed: %a" Serve.pp_reject r);
+    (* the first round warms up; it is not counted *)
+    if i > 0 then words := !words +. (w1 -. w0) +. (w3 -. w2)
+  done;
+  let per_call = !words /. float_of_int calls in
+  if per_call > 250.0 then
+    Alcotest.failf
+      "request + read_reply allocate %.1f minor words (bound 250)" per_call;
+  Serve.destroy plane
+
 let suite =
   [
     Alcotest.test_case "roundtrip on all modes" `Quick test_roundtrip_modes;
@@ -1104,6 +1175,10 @@ let suite =
     Alcotest.test_case "ticket expired" `Quick test_ticket_expired;
     Alcotest.test_case "ticket replay rejected" `Quick test_ticket_replay_rejected;
     Alcotest.test_case "telemetry counters" `Quick test_telemetry_counters;
+    Alcotest.test_case "client envelope bytes frozen" `Quick
+      test_client_envelope_frozen;
+    Alcotest.test_case "client request + read_reply allocation" `Quick
+      test_client_allocation;
     QCheck_alcotest.to_alcotest spec_qcheck;
     Alcotest.test_case "arena hot tenant scales across cores" `Quick
       test_arena_hot_tenant_scales;
