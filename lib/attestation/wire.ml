@@ -1,15 +1,11 @@
 open Hyperenclave_monitor
+module Codec = Hyperenclave_hw.Codec
 module Tpm = Hyperenclave_tpm.Tpm
 
 (* Length-framed fields: u32 big-endian length + payload.  Composite
-   fields nest the same scheme. *)
+   fields nest the same scheme; integers travel as decimal text. *)
 
-let add_framed buf data =
-  let len = Bytes.create 4 in
-  Bytes.set_int32_be len 0 (Int32.of_int (Bytes.length data));
-  Buffer.add_bytes buf len;
-  Buffer.add_bytes buf data
-
+let add_framed = Codec.put_framed32
 let add_string buf s = add_framed buf (Bytes.of_string s)
 let add_int buf n = add_string buf (string_of_int n)
 let add_bool buf b = add_string buf (if b then "1" else "0")
@@ -59,125 +55,80 @@ let encode (q : Monitor.quote) =
 
 (* --- decoding ------------------------------------------------------------------ *)
 
-type cursor = { raw : bytes; mutable pos : int }
+let take = Codec.framed32
+let take_string r field = Bytes.unsafe_to_string (take r field)
 
-exception Malformed of string
+(* Canonical decimal only: [int_of_string] alone also takes "+1", "01",
+   "0x1" and "1_", which would give one quote many encodings. *)
+let int_of_text field s =
+  match int_of_string_opt s with
+  | Some n when string_of_int n = s -> n
+  | _ -> Codec.fail field "not a canonical integer"
 
-let take cursor =
-  if cursor.pos + 4 > Bytes.length cursor.raw then raise (Malformed "truncated length");
-  let len = Int32.to_int (Bytes.get_int32_be cursor.raw cursor.pos) in
-  cursor.pos <- cursor.pos + 4;
-  if len < 0 || cursor.pos + len > Bytes.length cursor.raw then
-    raise (Malformed "truncated payload");
-  let payload = Bytes.sub cursor.raw cursor.pos len in
-  cursor.pos <- cursor.pos + len;
-  payload
+let take_int r field = int_of_text field (take_string r field)
 
-let take_string cursor = Bytes.to_string (take cursor)
-
-let take_int cursor =
-  match int_of_string_opt (take_string cursor) with
-  | Some n -> n
-  | None -> raise (Malformed "bad integer")
-
-let take_bool cursor =
-  match take_string cursor with
+let take_bool r field =
+  match take_string r field with
   | "1" -> true
   | "0" -> false
-  | _ -> raise (Malformed "bad boolean")
+  | _ -> Codec.fail field "not a boolean"
 
-let take_mode cursor =
-  let name = take_string cursor in
+let take_mode r field =
+  let name = take_string r field in
   match
     List.find_opt (fun m -> Sgx_types.mode_name m = name) Sgx_types.all_modes
   with
   | Some mode -> mode
-  | None -> raise (Malformed ("unknown mode " ^ name))
+  | None -> Codec.fail field ("unknown mode " ^ name)
 
-let finished cursor name =
-  if cursor.pos <> Bytes.length cursor.raw then
-    raise (Malformed ("trailing bytes in " ^ name))
+let decode_report r =
+  let mrenclave = take r "mrenclave" in
+  let mrsigner = take r "mrsigner" in
+  let debug = take_bool r "debug" in
+  let mode = take_mode r "mode" in
+  let xfrm = take_int r "xfrm" in
+  let isv_prod_id = take_int r "isv_prod_id" in
+  let isv_svn = take_int r "isv_svn" in
+  let report_data = take r "report_data" in
+  let key_id = take r "key_id" in
+  let mac = take r "mac" in
+  { Sgx_types.mrenclave; mrsigner; attributes = { Sgx_types.debug; mode; xfrm };
+    isv_prod_id; isv_svn; report_data; key_id; mac }
 
-let decode_report raw =
-  let c = { raw; pos = 0 } in
-  let mrenclave = take c in
-  let mrsigner = take c in
-  let debug = take_bool c in
-  let mode = take_mode c in
-  let xfrm = take_int c in
-  let isv_prod_id = take_int c in
-  let isv_svn = take_int c in
-  let report_data = take c in
-  let key_id = take c in
-  let mac = take c in
-  finished c "report";
-  {
-    Sgx_types.mrenclave;
-    mrsigner;
-    attributes = { Sgx_types.debug; mode; xfrm };
-    isv_prod_id;
-    isv_svn;
-    report_data;
-    key_id;
-    mac;
-  }
-
-let decode_tpm_quote raw =
-  let c = { raw; pos = 0 } in
-  let pcr_digest = take c in
-  let selection = take_string c in
+let decode_tpm_quote r =
+  let pcr_digest = take r "pcr_digest" in
   let pcr_selection =
-    if selection = "" then []
-    else
-      List.map
-        (fun s ->
-          match int_of_string_opt s with
-          | Some n -> n
-          | None -> raise (Malformed "bad PCR index"))
-        (String.split_on_char ',' selection)
+    match take_string r "pcr_selection" with
+    | "" -> []
+    | s -> List.map (int_of_text "pcr_selection") (String.split_on_char ',' s)
   in
-  let nonce = take c in
-  let signature = take c in
-  let aik_public = take c in
-  let aik_certificate = take c in
-  let ek_public = take c in
-  finished c "tpm quote";
-  {
-    Tpm.pcr_digest;
-    pcr_selection;
-    nonce;
-    signature;
-    aik_public;
-    aik_certificate;
-    ek_public;
-  }
+  let nonce = take r "nonce" in
+  let signature = take r "signature" in
+  let aik_public = take r "aik_public" in
+  let aik_certificate = take r "aik_certificate" in
+  let ek_public = take r "ek_public" in
+  { Tpm.pcr_digest; pcr_selection; nonce; signature; aik_public;
+    aik_certificate; ek_public }
 
-let decode_event raw =
-  let c = { raw; pos = 0 } in
-  let pcr_index = take_int c in
-  let label = take_string c in
-  let measurement = take c in
-  finished c "event";
+let decode_event r =
+  let pcr_index = take_int r "pcr_index" in
+  let label = take_string r "label" in
+  let measurement = take r "measurement" in
   { Monitor.pcr_index; label; measurement }
 
-let decode raw =
-  try
-    let c = { raw; pos = 0 } in
-    (match take_string c with
-    | "HEQ1" -> ()
-    | other -> raise (Malformed ("bad magic " ^ other)));
-    let report = decode_report (take c) in
-    let ems = take c in
-    let hapk = take c in
-    let tpm_quote = decode_tpm_quote (take c) in
-    let n_events = take_int c in
-    if n_events < 0 || n_events > 1024 then raise (Malformed "unreasonable event count");
-    (* explicit loop: the cursor side effect must run strictly in order *)
-    let events = ref [] in
-    for _ = 1 to n_events do
-      events := decode_event (take c) :: !events
-    done;
-    let events = List.rev !events in
-    finished c "quote";
-    Result.Ok { Monitor.report; ems; hapk; tpm_quote; events }
-  with Malformed m -> Result.Error m
+let decode =
+  Codec.decode "quote" (fun r ->
+      (match take_string r "magic" with
+      | "HEQ1" -> ()
+      | other -> Codec.fail "magic" other);
+      let report = Codec.nested32 r "report" decode_report in
+      let ems = take r "ems" in
+      let hapk = take r "hapk" in
+      let tpm_quote = Codec.nested32 r "tpm_quote" decode_tpm_quote in
+      let n_events = take_int r "event count" in
+      if n_events < 0 || n_events > 1024 then
+        Codec.fail "event count" "unreasonable";
+      let events =
+        List.init n_events (fun _ -> Codec.nested32 r "event" decode_event)
+      in
+      { Monitor.report; ems; hapk; tpm_quote; events })

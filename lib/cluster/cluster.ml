@@ -197,9 +197,7 @@ let anchor t i = (node t i).n_anchor
 (* ---------------------------------------------------------------------- *)
 (* Consistent-hash placement                                              *)
 
-let hash_point s =
-  let d = Sha256.digest_string s in
-  Int64.to_int (Bytes.get_int64_le d 0) land max_int
+let hash_point s = Sha256.to_int (Sha256.digest_string s)
 
 let ring_owner t name =
   let points = ref [] in
@@ -283,32 +281,16 @@ let send t ~src ~dst ~bytes =
 (* ---------------------------------------------------------------------- *)
 (* Migration protocol                                                     *)
 
-let hex b =
-  String.concat "" (List.map (Printf.sprintf "%02x") (List.init (Bytes.length b) (Bytes.get_uint8 b)))
-
 let offer_key ~dst ~tenant ~nonce =
-  Printf.sprintf "%d:%s:%s" dst tenant (hex nonce)
+  Printf.sprintf "%d:%s:%s" dst tenant (Sha256.to_hex nonce)
 
 (* Length-prefixed transcript over every offer field: what the
    destination's quote binds, so a verified offer cannot be spliced onto
    another tenant, route or key share. *)
 let offer_transcript ~tenant ~src ~dst ~nonce ~kx =
-  let ctx = Sha256.init () in
-  Sha256.update_string ctx "cluster-migrate-offer:";
-  List.iter
-    (fun field ->
-      let len = Bytes.create 8 in
-      Bytes.set_int64_le len 0 (Int64.of_int (Bytes.length field));
-      Sha256.update ctx len;
-      Sha256.update ctx field)
-    [
-      Bytes.of_string tenant;
-      Bytes.of_string (string_of_int src);
-      Bytes.of_string (string_of_int dst);
-      nonce;
-      kx;
-    ];
-  Sha256.finalize ctx
+  Sha256.transcript "cluster-migrate-offer:"
+    (List.map Bytes.of_string [ tenant; string_of_int src; string_of_int dst ]
+    @ [ nonce; kx ])
 
 let transport_key ~shared ~nonce =
   let ctx = Sha256.init () in
@@ -317,25 +299,21 @@ let transport_key ~shared ~nonce =
   Sha256.update ctx nonce;
   Sha256.finalize ctx
 
+let put_u64 buf n = Buffer.add_int64_le buf (Int64.of_int n)
+let put_field = Codec.put_framed64
+
 let blob_aad ~tenant ~src ~dst ~nonce =
   let buf = Buffer.create 64 in
   Buffer.add_string buf "cluster-migrate:v1";
-  Buffer.add_int64_le buf (Int64.of_int (String.length tenant));
-  Buffer.add_string buf tenant;
-  Buffer.add_int64_le buf (Int64.of_int src);
-  Buffer.add_int64_le buf (Int64.of_int dst);
+  put_field buf (Bytes.of_string tenant);
+  put_u64 buf src;
+  put_u64 buf dst;
   Buffer.add_bytes buf nonce;
   Buffer.to_bytes buf
 
 (* --- export blob wire form ------------------------------------------- *)
 
 let blob_magic = "hemig1:"
-
-let put_u64 buf n = Buffer.add_int64_le buf (Int64.of_int n)
-
-let put_field buf b =
-  put_u64 buf (Bytes.length b);
-  Buffer.add_bytes buf b
 
 let encode_export (x : Serve.tenant_export) =
   let buf = Buffer.create 512 in
@@ -355,57 +333,28 @@ let encode_export (x : Serve.tenant_export) =
   List.iter (fun n -> put_field buf (Bytes.of_string n)) x.Serve.x_nonces;
   Buffer.to_bytes buf
 
-exception Short of string
-
-let decode_export b =
-  let pos = ref 0 in
-  (* [n > len - pos], not [pos + n > len]: a length word near [max_int]
-     must not wrap the bound negative. *)
-  let need n what =
-    if n > Bytes.length b - !pos then raise (Short what)
-  in
-  let u64 what =
-    need 8 what;
-    let v = Int64.to_int (Bytes.get_int64_le b !pos) in
-    pos := !pos + 8;
-    if v < 0 then raise (Short what);
-    v
-  in
-  let field what =
-    let n = u64 what in
-    need n what;
-    let v = Bytes.sub b !pos n in
-    pos := !pos + n;
-    v
-  in
-  match
-    let m = String.length blob_magic in
-    need m "magic";
-    if Bytes.sub_string b 0 m <> blob_magic then raise (Short "magic");
-    pos := m;
-    let x_tenant = Bytes.to_string (field "tenant") in
-    let x_identity = field "identity" in
-    let nsessions = u64 "session count" in
-    if nsessions > 1_000_000 then raise (Short "session count");
-    let x_sessions =
-      List.init nsessions (fun _ ->
-          let x_session = u64 "session id" in
-          let x_key = field "key" in
-          let x_recv_seq = u64 "recv_seq" in
-          let x_pages = u64 "pages" in
-          let x_state = field "state" in
-          { Serve.x_session; x_key; x_recv_seq; x_pages; x_state })
-    in
-    let nnonces = u64 "nonce count" in
-    if nnonces > 1_000_000 then raise (Short "nonce count");
-    let x_nonces =
-      List.init nnonces (fun _ -> Bytes.to_string (field "nonce"))
-    in
-    if !pos <> Bytes.length b then raise (Short "trailing bytes");
-    { Serve.x_tenant; x_identity; x_sessions; x_nonces }
-  with
-  | x -> Ok x
-  | exception Short what -> Error what
+let decode_export =
+  Codec.decode "export blob" (fun r ->
+      let u64 = Codec.len64_le ~max:max_int r in
+      let count = Codec.len64_le ~max:1_000_000 r in
+      let field = Codec.framed64 r in
+      Codec.literal r blob_magic "magic";
+      let x_tenant = Bytes.to_string (field "tenant") in
+      let x_identity = field "identity" in
+      let x_sessions =
+        List.init (count "session count") (fun _ ->
+            let x_session = u64 "session id" in
+            let x_key = field "key" in
+            let x_recv_seq = u64 "recv_seq" in
+            let x_pages = u64 "pages" in
+            let x_state = field "state" in
+            { Serve.x_session; x_key; x_recv_seq; x_pages; x_state })
+      in
+      let x_nonces =
+        List.init (count "nonce count") (fun _ ->
+            Bytes.to_string (field "nonce"))
+      in
+      { Serve.x_tenant; x_identity; x_sessions; x_nonces })
 
 module Migrate = struct
   type offer = {
@@ -544,8 +493,8 @@ module Migrate = struct
           | Some shared -> (
               let key = transport_key ~shared ~nonce:p.p_nonce in
               match Authenc.decode p.p_blob with
-              | exception Invalid_argument m -> Error (Blob_malformed m)
-              | sealed -> (
+              | Error m -> Error (Blob_malformed m)
+              | Ok sealed -> (
                   let expected_aad =
                     blob_aad ~tenant:p.p_tenant ~src:p.p_src ~dst:p.p_dst
                       ~nonce:p.p_nonce

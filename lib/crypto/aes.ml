@@ -247,39 +247,11 @@ let decrypt_block key block =
   decrypt_state key state;
   bytes_of_state state
 
-let ctr_transform ~key ~nonce data =
-  if Bytes.length nonce > 12 then invalid_arg "Aes.ctr_transform: nonce > 12";
-  let key = expand_key key in
-  let len = Bytes.length data in
-  let out = Bytes.create len in
-  let counter_block = Bytes.make 16 '\000' in
-  Bytes.blit nonce 0 counter_block 0 (Bytes.length nonce);
-  (* One state array reused for every block: the keystream is XORed out
-     of it directly, so the per-block temporaries of the reference code
-     ([state_of_bytes] + a keystream buffer) are gone. *)
-  let state = Array.make 16 0 in
-  let nblocks = (len + 15) / 16 in
-  for blk = 0 to nblocks - 1 do
-    Bytes.set_int32_be counter_block 12 (Int32.of_int blk);
-    load_state state counter_block 0;
-    encrypt_state key state;
-    let base = blk * 16 in
-    let chunk = min 16 (len - base) in
-    for i = 0 to chunk - 1 do
-      Bytes.unsafe_set out (base + i)
-        (Char.unsafe_chr
-           (Char.code (Bytes.unsafe_get data (base + i))
-           lxor Array.unsafe_get state i))
-    done
-  done;
-  out
-
 (* CTR over a caller-provided slice, with a caller-expanded key schedule:
    the zero-copy path runs the keystream XOR straight over [src] into
    [dst] (the two may alias, or even be the same buffer at the same
    offset for a true in-place transform), so neither a fresh output
-   buffer nor a per-call key expansion is paid.  Byte-identical to
-   [ctr_transform] on the same key/nonce/data. *)
+   buffer nor a per-call key expansion is paid. *)
 let ctr_into ~key ~nonce ~src ~src_off ~dst ~dst_off ~len =
   if Bytes.length nonce > 12 then invalid_arg "Aes.ctr_into: nonce > 12";
   if len < 0 || src_off < 0 || src_off + len > Bytes.length src then
@@ -303,6 +275,13 @@ let ctr_into ~key ~nonce ~src ~src_off ~dst ~dst_off ~len =
            lxor Array.unsafe_get state i))
     done
   done
+
+let ctr_transform ~key ~nonce data =
+  let len = Bytes.length data in
+  let out = Bytes.create len in
+  ctr_into ~key:(expand_key key) ~nonce ~src:data ~src_off:0 ~dst:out
+    ~dst_off:0 ~len;
+  out
 
 (* XTS-style: tweak = E(addr-block) XORed around the block cipher, with a
    GF doubling between consecutive blocks. *)

@@ -1,3 +1,5 @@
+module Codec = Hyperenclave_hw.Codec
+
 type sealed = { nonce : bytes; ciphertext : bytes; tag : bytes; aad : bytes }
 
 exception Authentication_failure
@@ -86,33 +88,14 @@ let unseal ~key sealed =
 
 let encode sealed =
   let buf = Buffer.create (Bytes.length sealed.ciphertext + 64) in
-  let add_framed b =
-    let len = Bytes.create 4 in
-    Bytes.set_int32_be len 0 (Int32.of_int (Bytes.length b));
-    Buffer.add_bytes buf len;
-    Buffer.add_bytes buf b
-  in
-  add_framed sealed.nonce;
-  add_framed sealed.aad;
-  add_framed sealed.ciphertext;
-  add_framed sealed.tag;
+  List.iter (Codec.put_framed32 buf)
+    [ sealed.nonce; sealed.aad; sealed.ciphertext; sealed.tag ];
   Buffer.to_bytes buf
 
-let decode raw =
-  let pos = ref 0 in
-  let take_framed () =
-    if !pos + 4 > Bytes.length raw then invalid_arg "Authenc.decode: truncated";
-    let len = Int32.to_int (Bytes.get_int32_be raw !pos) in
-    pos := !pos + 4;
-    if len < 0 || !pos + len > Bytes.length raw then
-      invalid_arg "Authenc.decode: truncated";
-    let b = Bytes.sub raw !pos len in
-    pos := !pos + len;
-    b
-  in
-  let nonce = take_framed () in
-  let aad = take_framed () in
-  let ciphertext = take_framed () in
-  let tag = take_framed () in
-  if !pos <> Bytes.length raw then invalid_arg "Authenc.decode: trailing bytes";
-  { nonce; ciphertext; tag; aad }
+let decode =
+  Codec.decode "sealed blob" (fun r ->
+      let nonce = Codec.framed32 r "nonce" in
+      let aad = Codec.framed32 r "aad" in
+      let ciphertext = Codec.framed32 r "ciphertext" in
+      let tag = Codec.framed32 r "tag" in
+      { nonce; ciphertext; tag; aad })

@@ -100,5 +100,5 @@ val decrypt_into :
 val encode : sealed -> bytes
 (** Length-prefixed wire form (for writing sealed blobs to "disk"). *)
 
-val decode : bytes -> sealed
-(** @raise Invalid_argument on malformed input. *)
+val decode : bytes -> (sealed, string) result
+(** Total: a malformed blob is an [Error] naming the field. *)

@@ -193,6 +193,14 @@ let digest_bytes data =
    borrowed without the copy [Bytes.of_string] would make. *)
 let digest_string s = digest_bytes (Bytes.unsafe_of_string s)
 
+let to_int digest = Int64.to_int (Bytes.get_int64_le digest 0) land max_int
+
+let transcript label fields =
+  let buf = Buffer.create 256 in
+  Buffer.add_string buf label;
+  List.iter (Hyperenclave_hw.Codec.put_framed64 buf) fields;
+  digest_bytes (Buffer.to_bytes buf)
+
 let hex_digits = "0123456789abcdef"
 
 let to_hex digest =

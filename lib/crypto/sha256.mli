@@ -45,6 +45,14 @@ val copy : ctx -> ctx
 val digest_bytes : bytes -> bytes
 val digest_string : string -> bytes
 
+val to_int : bytes -> int
+(** The low 62 bits of a digest's first little-endian word: a hash point. *)
+
+val transcript : string -> bytes list -> bytes
+(** [transcript label fields] hashes [label], then each field behind its
+    u64 little-endian length word ({!Hyperenclave_hw.Codec.put_framed64}),
+    so distinct field lists never collide by concatenation. *)
+
 val digest_size : int
 (** 32. *)
 

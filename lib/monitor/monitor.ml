@@ -634,12 +634,15 @@ let eresume t (enclave : Enclave.t) ~(tcs : Sgx_types.tcs) =
   (* Restore the spilled register state from the SSA frame. *)
   let ssa_vpn = tcs.Sgx_types.ssa_base_vpn + tcs.Sgx_types.current_ssa in
   (match Page_table.lookup enclave.gpt ~vpn:ssa_vpn with
-  | Some entry ->
-      enclave.regs <-
+  | Some entry -> (
+      match
         Vcpu.deserialize
           (Phys_mem.read_bytes t.mem
              (Addr.base_of_page entry.Page_table.frame)
              Vcpu.ssa_frame_bytes)
+      with
+      | Ok regs -> enclave.regs <- regs
+      | Error m -> violation "eresume: %s" m)
   | None -> violation "eresume: SSA page 0x%x not mapped" ssa_vpn);
   enclave.entered <- true;
   t.current <- Some enclave;
@@ -711,9 +714,10 @@ let swap_in_page t (enclave : Enclave.t) ~vpn =
     | None -> violation "swap-in: enclave %d page 0x%x blob missing" enclave.id vpn
   in
   let sealed =
-    try Authenc.decode blob
-    with Invalid_argument _ ->
-      violation "swap-in: enclave %d page 0x%x blob malformed" enclave.id vpn
+    match Authenc.decode blob with
+    | Ok sealed -> sealed
+    | Error _ ->
+        violation "swap-in: enclave %d page 0x%x blob malformed" enclave.id vpn
   in
   let content =
     try Authenc.unseal ~key:(swap_key t) sealed

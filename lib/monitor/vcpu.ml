@@ -49,14 +49,11 @@ let serialize r =
   Array.iteri (fun i v -> put (4 + i) v) r.gpr;
   out
 
-let deserialize raw =
-  if Bytes.length raw <> ssa_frame_bytes then
-    invalid_arg "Vcpu.deserialize: wrong SSA frame size";
-  let get i = Int64.to_int (Bytes.get_int64_le raw (8 * i)) in
-  {
-    rip = get 0;
-    rsp = get 1;
-    rflags = get 2;
-    fs_base = get 3;
-    gpr = Array.init gpr_count (fun i -> get (4 + i));
-  }
+let deserialize =
+  Hyperenclave_hw.Codec.decode "SSA frame" (fun r ->
+      let get = Hyperenclave_hw.Codec.int64_le r in
+      let rip = get "rip" in
+      let rsp = get "rsp" in
+      let rflags = get "rflags" in
+      let fs_base = get "fs_base" in
+      { rip; rsp; rflags; fs_base; gpr = Array.init gpr_count (fun _ -> get "gpr") })

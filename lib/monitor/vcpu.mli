@@ -31,7 +31,8 @@ val equal : regs -> regs -> bool
 val serialize : regs -> bytes
 (** SSA frame layout: 144 bytes, fixed. *)
 
-val deserialize : bytes -> regs
-(** @raise Invalid_argument on a malformed frame. *)
+val deserialize : bytes -> (regs, string) result
+(** Total: a frame of the wrong size, or a word that is not an OCaml
+    [int], is an [Error]. *)
 
 val ssa_frame_bytes : int

@@ -45,6 +45,8 @@ type t = {
           (enclave-to-enclave trust without going through the TPM) *)
   seal : ?aad:bytes -> bytes -> bytes;
   unseal : bytes -> bytes;
+      (** @raise Hyperenclave_crypto.Authenc.Authentication_failure on a
+          forged or malformed blob *)
   seal_versioned : bytes -> bytes;
       (** rollback-protected sealing: the blob is bound to a fresh value
           of the enclave's TPM monotonic counter, so every new seal

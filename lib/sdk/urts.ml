@@ -196,29 +196,14 @@ let frame_requests reqs =
 let frame_replies = frame_requests
 
 let parse_frames ~what raw =
-  let len = Bytes.length raw in
-  let word off =
-    if off + 8 > len then fail "%s: truncated ring frame at %d" what off;
-    Int64.to_int (Bytes.get_int64_le raw off)
+  let slots =
+    Codec.decode what (fun r ->
+        List.init (Codec.len64_le ~max:max_batch r "ring frame count")
+          (fun _ ->
+            let id = Codec.int64_le r "slot id" in
+            (id, Codec.framed64 r "slot")))
   in
-  let count = word 0 in
-  if count < 0 || count > max_batch then
-    fail "%s: ring frame count %d out of range" what count;
-  let off = ref 8 in
-  List.init count (fun _ ->
-      let id = word !off in
-      let body_len = word (!off + 8) in
-      (* Bounds check in subtraction form: the addition
-         [!off + 16 + body_len] overflows for a corrupt near-max_int
-         length word read back from the shared region, passes the
-         comparison, and lets [Bytes.sub] escape as a bare
-         [Invalid_argument].  [len - !off - 16] cannot overflow because
-         both operands are already validated offsets into [raw]. *)
-      if body_len < 0 || body_len > len - !off - 16 then
-        fail "%s: ring slot overruns the frame" what;
-      let body = Bytes.sub raw (!off + 16) body_len in
-      off := !off + 16 + body_len;
-      (id, body))
+  match slots raw with Ok slots -> slots | Error m -> fail "%s" m
 
 (* --- loader ---------------------------------------------------------------- *)
 
@@ -395,7 +380,9 @@ let rec make_tenv t : Tenv.t =
     unseal =
       (fun blob ->
         let key = Monitor.egetkey m enc Sgx_types.Seal_key_mrenclave in
-        Authenc.unseal ~key (Authenc.decode blob));
+        match Authenc.decode blob with
+        | Ok sealed -> Authenc.unseal ~key sealed
+        | Error _ -> raise Authenc.Authentication_failure);
     seal_versioned =
       (fun data ->
         (* Bind the blob to a fresh counter value: all older blobs die. *)
@@ -407,7 +394,11 @@ let rec make_tenv t : Tenv.t =
     unseal_versioned =
       (fun blob ->
         let key = Monitor.egetkey m enc Sgx_types.Seal_key_mrenclave in
-        let sealed = Authenc.decode blob in
+        let sealed =
+          match Authenc.decode blob with
+          | Ok sealed -> sealed
+          | Error _ -> raise Authenc.Authentication_failure
+        in
         let current = Monitor.counter_read_for m enc in
         let expected = Bytes.of_string (Printf.sprintf "version:%d" current) in
         if not (Bytes.equal sealed.Authenc.aad expected) then

@@ -141,11 +141,11 @@ val frame_requests : (int * bytes) list -> bytes
     assembled with one exact-size allocation and one blit per slot. *)
 
 val parse_frames : what:string -> bytes -> (int * bytes) list
-(** Parse a ring frame back into [(id, payload)] slots, validating every
-    length word against the frame bounds before slicing.
+(** Parse a ring frame back into [(id, payload)] slots through
+    {!Hyperenclave_hw.Codec}.
     @raise Enclave_error (tagged [what]) on a truncated frame, an
-    out-of-range slot count, or a corrupt length word — including
-    near-[max_int] lengths whose bounds arithmetic would overflow. *)
+    out-of-range slot count, a corrupt length word (negative, near
+    [max_int], or with bit 63 set) or trailing bytes. *)
 
 val arm_timer : t -> quantum:int -> ?on_preempt:(unit -> unit) -> unit -> unit
 (** Arm the scheduler's AEX preemption timer: once the clock passes the

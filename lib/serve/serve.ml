@@ -428,47 +428,62 @@ let alloc_slot (tn : tenant) =
 
 let state_ecall = 0x5e55
 
+(* Session-state messages: [off:8][n:8] (commit [n] pages, or read [n]
+   bytes), [off:8][data...] (write), and [n:8] replies; 8-byte
+   little-endian non-negative words. *)
+let state_range ~off ~len =
+  let b = Bytes.create 16 in
+  Bytes.set_int64_le b 0 (Int64.of_int off);
+  Bytes.set_int64_le b 8 (Int64.of_int len);
+  b
+
+let state_count n =
+  let b = Bytes.create 8 in
+  Bytes.set_int64_le b 0 (Int64.of_int n);
+  b
+
+let state_word = Codec.len64_le ~max:max_int
+
+let decode_state_range =
+  Codec.decode "session-state range" (fun r ->
+      let off = state_word r "offset" in
+      (off, state_word r "length"))
+
+let decode_state_write b =
+  Codec.decode "session-state write" (fun r ->
+      let off = state_word r "offset" in
+      (off, Codec.take r (Bytes.length b - 8) "data")) b
+
+let decode_state_count =
+  Codec.decode "session-state reply" (fun r -> state_word r "count")
+
+(* An ECALL handler's refusal of a malformed request. *)
+let request_or_fail = function Ok v -> v | Error m -> invalid_arg m
+
 (* Touch [pages] heap pages starting at byte [off]: on the HyperEnclave
    backends each first touch demand-commits an EPC page through the
    monitor's EDMM path; native backs it with scratch memory. *)
 let state_handler (env : Backend.env) input =
-  if Bytes.length input <> 16 then
-    invalid_arg "serve: malformed session-state request";
-  let off = Int64.to_int (Bytes.get_int64_le input 0) in
-  let pages = Int64.to_int (Bytes.get_int64_le input 8) in
-  if off < 0 || pages < 0 then invalid_arg "serve: negative session-state range";
+  let off, pages = request_or_fail (decode_state_range input) in
   for i = 0 to pages - 1 do
     env.Backend.heap_write ~off:(off + (i * Addr.page_size)) (Bytes.make 1 '\001')
   done;
-  let reply = Bytes.create 8 in
-  Bytes.set_int64_le reply 0 (Int64.of_int pages);
-  reply
+  state_count pages
 
 (* Migration-time state movers: read a session's committed heap range out
-   for export, write it back on the destination.  [off:8][len:8] in /
-   raw bytes out, and [off:8][data...] in / [written:8] out. *)
+   for export, write it back on the destination. *)
 let state_read_ecall = 0x5e56
 
 let state_read_handler (env : Backend.env) input =
-  if Bytes.length input <> 16 then
-    invalid_arg "serve: malformed session-state read";
-  let off = Int64.to_int (Bytes.get_int64_le input 0) in
-  let len = Int64.to_int (Bytes.get_int64_le input 8) in
-  if off < 0 || len < 0 then invalid_arg "serve: negative session-state range";
+  let off, len = request_or_fail (decode_state_range input) in
   env.Backend.heap_read ~off ~len
 
 let state_write_ecall = 0x5e57
 
 let state_write_handler (env : Backend.env) input =
-  if Bytes.length input < 8 then
-    invalid_arg "serve: malformed session-state write";
-  let off = Int64.to_int (Bytes.get_int64_le input 0) in
-  if off < 0 then invalid_arg "serve: negative session-state offset";
-  let data = Bytes.sub input 8 (Bytes.length input - 8) in
+  let off, data = request_or_fail (decode_state_write input) in
   env.Backend.heap_write ~off data;
-  let reply = Bytes.create 8 in
-  Bytes.set_int64_le reply 0 (Int64.of_int (Bytes.length data));
-  reply
+  state_count (Bytes.length data)
 
 let reserved_ecalls = [ state_ecall; state_read_ecall; state_write_ecall ]
 
@@ -590,19 +605,8 @@ type accept = {
   tenant_identity : bytes;
 }
 
-(* Every field is length-prefixed so distinct transcripts can never
-   collide by concatenation. *)
-let transcript ~nonce ~client_kx ~server_kx ~identity =
-  let ctx = Sha256.init () in
-  Sha256.update_string ctx "hyperenclave-serve-sigma:";
-  List.iter
-    (fun field ->
-      let len = Bytes.create 8 in
-      Bytes.set_int64_le len 0 (Int64.of_int (Bytes.length field));
-      Sha256.update ctx len;
-      Sha256.update ctx field)
-    [ nonce; client_kx; server_kx; identity ];
-  Sha256.finalize ctx
+(* The handshake transcript hashes nonce, both key shares and identity. *)
+let sigma = "hyperenclave-serve-sigma:"
 
 let derive_key ~shared ~nonce =
   let ctx = Sha256.init () in
@@ -638,8 +642,8 @@ let handshake t ~tenant hello =
                   Fault.point fault_site;
                   let secret, server_kx = Kx.generate t.rng in
                   let report_data =
-                    transcript ~nonce:hello.nonce ~client_kx:hello.client_kx
-                      ~server_kx ~identity:tenant_identity
+                    Sha256.transcript sigma
+                      [ hello.nonce; hello.client_kx; server_kx; tenant_identity ]
                   in
                   let quoter =
                     match tn.backend.Backend.urts with
@@ -1152,18 +1156,20 @@ let resize_session t ~session ~pages =
                "SGX1 does not support EDMM: session state cannot grow after \
                 EINIT")
       | Backend.Native | Backend.Hyperenclave _ ->
-          let data = Bytes.create 16 in
-          Bytes.set_int64_le data 0
-            (Int64.of_int
-               (s.state_slot * t.config.state_stride_pages * Addr.page_size));
-          Bytes.set_int64_le data 8 (Int64.of_int pages);
+          let data =
+            state_range
+              ~off:(s.state_slot * t.config.state_stride_pages * Addr.page_size)
+              ~len:pages
+          in
           (match
              Backend.protected_call s.tenant.backend ~id:state_ecall ~data
                ~direction:Edge.In_out ()
            with
-          | Backend.Success reply ->
+          | Backend.Success reply -> (
               s.s_pages <- max s.s_pages pages;
-              Ok (Int64.to_int (Bytes.get_int64_le reply 0))
+              match decode_state_count reply with
+              | Ok n -> Ok n
+              | Error m -> reject t (Session_fault m))
           | Backend.Typed_error m | Backend.Violation m ->
               reject t (Session_fault m)))
 
@@ -1236,9 +1242,9 @@ let read_state t (tn : tenant) (s : session) =
   let rec go pg =
     if pg = s.s_pages then Ok (Buffer.to_bytes buf)
     else begin
-      let data = Bytes.create 16 in
-      Bytes.set_int64_le data 0 (Int64.of_int (base + (pg * Addr.page_size)));
-      Bytes.set_int64_le data 8 (Int64.of_int Addr.page_size);
+      let data =
+        state_range ~off:(base + (pg * Addr.page_size)) ~len:Addr.page_size
+      in
       match
         Backend.protected_call tn.backend ~id:state_read_ecall ~data
           ~direction:Edge.In_out ()
@@ -1410,11 +1416,11 @@ let import_tenant t (x : tenant_export) =
                   let recommit slot pages =
                     if pages = 0 then Ok ()
                     else begin
-                      let data = Bytes.create 16 in
-                      Bytes.set_int64_le data 0
-                        (Int64.of_int
-                           (slot * t.config.state_stride_pages * Addr.page_size));
-                      Bytes.set_int64_le data 8 (Int64.of_int pages);
+                      let data =
+                        state_range
+                          ~off:(slot * t.config.state_stride_pages * Addr.page_size)
+                          ~len:pages
+                      in
                       match
                         Backend.protected_call tn.backend ~id:state_ecall ~data
                           ~direction:Edge.In_out ()
@@ -1500,28 +1506,17 @@ let ticket_aad = Bytes.of_string "serve-ticket:v1"
 
 (* Ticket payload: [8B LE name_len][name][32B session key][8B LE expiry]. *)
 let encode_ticket ~tenant ~key ~expires =
-  let name = Bytes.of_string tenant in
-  let name_len = Bytes.length name in
-  let buf = Bytes.create (8 + name_len + 32 + 8) in
-  Bytes.set_int64_le buf 0 (Int64.of_int name_len);
-  Bytes.blit name 0 buf 8 name_len;
-  Bytes.blit key 0 buf (8 + name_len) 32;
-  Bytes.set_int64_le buf (8 + name_len + 32) (Int64.of_int expires);
-  buf
+  let buf = Buffer.create (String.length tenant + 48) in
+  Codec.put_framed64 buf (Bytes.of_string tenant);
+  Buffer.add_bytes buf key;
+  Buffer.add_int64_le buf (Int64.of_int expires);
+  Buffer.to_bytes buf
 
-let decode_ticket payload =
-  if Bytes.length payload < 48 then None
-  else
-    let name_len = Int64.to_int (Bytes.get_int64_le payload 0) in
-    if name_len < 0 || name_len > Bytes.length payload - 48 then None
-    else if Bytes.length payload <> 8 + name_len + 40 then None
-    else
-      let tenant = Bytes.sub_string payload 8 name_len in
-      let key = Bytes.sub payload (8 + name_len) 32 in
-      let expires =
-        Int64.to_int (Bytes.get_int64_le payload (8 + name_len + 32))
-      in
-      Some (tenant, key, expires)
+let decode_ticket =
+  Codec.decode "ticket payload" (fun r ->
+      let tenant = Bytes.to_string (Codec.framed64 r "tenant") in
+      let key = Codec.take r 32 "key" in
+      (tenant, key, Codec.int64_le r "expiry"))
 
 let issue_ticket t ~session =
   match Hashtbl.find_opt t.sessions session with
@@ -1557,8 +1552,8 @@ let resume t (r : resume) =
   if nonce_replayed t r.r_nonce then reject t Replayed_nonce
   else
     match Authenc.decode r.r_ticket with
-    | exception Invalid_argument m -> reject t (Bad_ticket m)
-    | sealed ->
+    | Error m -> reject t (Bad_ticket m)
+    | Ok sealed ->
         if not (Bytes.equal sealed.Authenc.aad ticket_aad) then
           reject t (Bad_ticket "wrong ticket domain")
         else begin
@@ -1568,8 +1563,8 @@ let resume t (r : resume) =
               reject t (Bad_ticket "ticket authentication failed")
           | payload -> (
               match decode_ticket payload with
-              | None -> reject t (Bad_ticket "malformed ticket payload")
-              | Some (tenant, key, expires) -> (
+              | Error m -> reject t (Bad_ticket m)
+              | Ok (tenant, key, expires) -> (
                   if Cycles.now t.platform.Platform.clock > expires then
                     reject t Ticket_expired
                   else
@@ -1680,9 +1675,9 @@ module Client = struct
                    exchange: transcript binding, then the claimed tenant
                    identity against the pin. *)
                 let expected =
-                  transcript ~nonce:hs.hs_nonce ~client_kx:hs.hs_client_kx
-                    ~server_kx:accept.server_kx
-                    ~identity:accept.tenant_identity
+                  Sha256.transcript sigma
+                    [ hs.hs_nonce; hs.hs_client_kx; accept.server_kx;
+                      accept.tenant_identity ]
                 in
                 let bound =
                   Bytes.length report.Hyperenclave_monitor.Sgx_types.report_data

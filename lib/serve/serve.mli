@@ -212,6 +212,14 @@ val add_tenant : t -> name:string -> Backend.config -> Backend.t
 val state_ecall : int
 (** The reserved ECALL id behind {!resize_session}. *)
 
+(** Session-state requests [[off][len]] and count replies [[n]], in
+    non-negative 8-byte little-endian words. *)
+
+val state_range : off:int -> len:int -> bytes
+val state_count : int -> bytes
+val decode_state_range : bytes -> (int * int, string) result
+val decode_state_count : bytes -> (int, string) result
+
 val quoting_identity : t -> bytes
 (** MRENCLAVE of the plane's quoting enclave — what a client should pin
     as [expected_mrenclave] when verifying an SGX-model tenant's
@@ -368,6 +376,11 @@ val issue_ticket : t -> session:int -> (bytes, reject) result
 (** Seal [(tenant, session key, expiry)] under the plane's ticket key.
     The wire form is opaque to the client.  Counter:
     [serve.ticket_issued]. *)
+
+val encode_ticket : tenant:string -> key:bytes -> expires:int -> bytes
+(** The payload a ticket seals: framed tenant, 32-byte key, expiry. *)
+
+val decode_ticket : bytes -> (string * bytes * int, string) result
 
 type resume = { r_ticket : bytes; r_nonce : bytes }
 

@@ -191,7 +191,9 @@ let seal e ?aad data =
 
 let unseal e blob =
   let key = getkey e Sgx_types.Seal_key_mrenclave in
-  Authenc.unseal ~key (Authenc.decode blob)
+  match Authenc.decode blob with
+  | Ok sealed -> Authenc.unseal ~key sealed
+  | Error _ -> raise Authenc.Authentication_failure
 
 (* --- the OS's controlled channel ------------------------------------------ *)
 

@@ -79,6 +79,8 @@ val emodpr : enclave -> vpn:int -> unit
 val getkey : enclave -> Sgx_types.key_name -> bytes
 val seal : enclave -> ?aad:bytes -> bytes -> bytes
 val unseal : enclave -> bytes -> bytes
+(** @raise Hyperenclave_crypto.Authenc.Authentication_failure on a forged
+    or malformed blob. *)
 
 (** {1 The untrusted OS's powers (for the controlled-channel contrast)} *)
 

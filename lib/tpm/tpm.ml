@@ -112,14 +112,11 @@ let encode_policy ~pcr_selection ~policy_digest =
   Buffer.add_bytes buf policy_digest;
   Buffer.to_bytes buf
 
-let decode_policy aad =
-  if Bytes.length aad < 1 then raise (Unseal_failed "empty policy");
-  let n = Char.code (Bytes.get aad 0) in
-  if Bytes.length aad <> 1 + n + Sha256.digest_size then
-    raise (Unseal_failed "malformed policy");
-  let selection = List.init n (fun i -> Char.code (Bytes.get aad (1 + i))) in
-  let digest = Bytes.sub aad (1 + n) Sha256.digest_size in
-  (selection, digest)
+let decode_policy =
+  Codec.decode "policy" (fun r ->
+      let n = Codec.uint8 r "selection count" in
+      let selection = List.init n (fun _ -> Codec.uint8 r "PCR index") in
+      (selection, Codec.take r Sha256.digest_size "digest"))
 
 let seal t ~pcr_selection data =
   Hyperenclave_fault.Fault.point "tpm.seal";
@@ -132,11 +129,9 @@ let seal t ~pcr_selection data =
 let unseal t blob =
   Hyperenclave_fault.Fault.point "tpm.unseal";
   charge t;
-  let sealed =
-    try Authenc.decode blob
-    with Invalid_argument m -> raise (Unseal_failed ("malformed blob: " ^ m))
-  in
-  let selection, sealed_digest = decode_policy sealed.Authenc.aad in
+  let fail_on = function Ok v -> v | Error m -> raise (Unseal_failed m) in
+  let sealed = fail_on (Authenc.decode blob) in
+  let selection, sealed_digest = fail_on (decode_policy sealed.Authenc.aad) in
   let current = Pcr.selection_digest t.pcrs ~indices:selection in
   if not (Sha256.equal current sealed_digest) then
     raise (Unseal_failed "PCR policy mismatch");

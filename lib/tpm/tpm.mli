@@ -59,6 +59,11 @@ val unseal : t -> bytes -> bytes
 (** @raise Unseal_failed if the blob is corrupt, from another chip, or the
     selected PCRs no longer match the sealing-time values. *)
 
+val encode_policy : pcr_selection:int list -> policy_digest:bytes -> bytes
+(** A sealed blob's AAD: count and PCR indices as bytes, then the digest. *)
+
+val decode_policy : bytes -> (int list * bytes, string) result
+
 val ek_public : t -> Hyperenclave_crypto.Signature.public_key
 
 (** {1 Monotonic counters}

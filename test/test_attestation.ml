@@ -283,6 +283,43 @@ let test_wire_roundtrip () =
   | Result.Ok _ -> Alcotest.fail "trailing bytes accepted");
   Urts.destroy handle
 
+(* Re-frame the report's [isv_svn] field (the 7th inside the report,
+   which follows the framed magic) as [text], fixing up the report's
+   length word. *)
+let reframe_isv_svn encoded text =
+  let field_end off = off + 4 + Int32.to_int (Bytes.get_int32_be encoded off) in
+  let report = 8 in
+  let start = ref (report + 4) in
+  for _ = 1 to 6 do start := field_end !start done;
+  let stop = field_end !start in
+  let field = Bytes.create (4 + String.length text) in
+  Bytes.set_int32_be field 0 (Int32.of_int (String.length text));
+  Bytes.blit_string text 0 field 4 (String.length text);
+  let out =
+    Bytes.concat Bytes.empty
+      [ Bytes.sub encoded 0 !start; field;
+        Bytes.sub encoded stop (Bytes.length encoded - stop) ]
+  in
+  let delta = Bytes.length out - Bytes.length encoded in
+  Bytes.set_int32_be out report
+    (Int32.add (Bytes.get_int32_be encoded report) (Int32.of_int delta));
+  out
+
+let test_wire_integers_canonical () =
+  let _, handle, quote = build ~seed:4012L () in
+  let encoded = Quote_wire.encode quote in
+  let svn = string_of_int quote.Monitor.report.Sgx_types.isv_svn in
+  Alcotest.(check bool)
+    "canonical re-frame is the identity" true
+    (Bytes.equal (reframe_isv_svn encoded svn) encoded);
+  List.iter
+    (fun text ->
+      match Quote_wire.decode (reframe_isv_svn encoded text) with
+      | Result.Error _ -> ()
+      | Result.Ok _ -> Alcotest.failf "isv_svn %S accepted" text)
+    [ "+" ^ svn; "0" ^ svn; "0x" ^ svn; svn ^ "_" ];
+  Urts.destroy handle
+
 let test_wire_bitflips_never_verify () =
   let p, handle, quote = build ~seed:4011L () in
   let golden = golden_of p in
@@ -325,6 +362,8 @@ let test_wire_bitflips_never_verify () =
 let suite =
   [
     Alcotest.test_case "wire roundtrip" `Quick test_wire_roundtrip;
+    Alcotest.test_case "wire integers canonical" `Quick
+      test_wire_integers_canonical;
     Alcotest.test_case "wire bitflips never verify" `Quick
       test_wire_bitflips_never_verify;
     Alcotest.test_case "verify ok" `Quick test_verify_ok;

@@ -497,10 +497,26 @@ let test_export_length_overflow () =
             (Printexc.to_string exn))
     [ 7; 19 ]
 
+(* 2^63 + 4 is not 4: a decoder that drops bit 63 of the tenant-length
+   word reads the blob as valid. *)
+let test_export_length_bit63 () =
+  let x =
+    { Serve.x_tenant = "acme"; x_identity = Bytes.make 32 'i';
+      x_sessions = []; x_nonces = [] }
+  in
+  let blob = Cluster.encode_export x in
+  Alcotest.(check bool) "round trip" true (Cluster.decode_export blob = Ok x);
+  Bytes.set_int64_le blob 7 (Int64.logor Int64.min_int 4L);
+  match Cluster.decode_export blob with
+  | Ok _ -> Alcotest.fail "bit-63 tenant length accepted"
+  | Error _ -> ()
+
 let suite =
   [
     Alcotest.test_case "export blob length overflow is typed" `Quick
       test_export_length_overflow;
+    Alcotest.test_case "export blob bit-63 length refused" `Quick
+      test_export_length_bit63;
     Alcotest.test_case "live migration: seal, ship, re-attest, resume" `Quick
       test_live_migration;
     Alcotest.test_case "migrate back home" `Quick test_migrate_back;

@@ -226,7 +226,7 @@ let test_authenc () =
   let wrong_key = Hmac.derive ~key:(Bytes.of_string "other") ~info:"seal" in
   Alcotest.check_raises "wrong key" Authenc.Authentication_failure (fun () ->
       ignore (Authenc.unseal ~key:wrong_key sealed));
-  let decoded = Authenc.decode (Authenc.encode sealed) in
+  let decoded = Result.get_ok (Authenc.decode (Authenc.encode sealed)) in
   Alcotest.(check string)
     "encode/decode roundtrip" "secret data"
     (Bytes.to_string (Authenc.unseal ~key decoded))
@@ -515,7 +515,8 @@ let qcheck_tests =
           Authenc.seal ~key ~aad:(Bytes.of_string aad) ~nonce:(Bytes.make 12 'x')
             (Bytes.of_string secret)
         in
-        Bytes.to_string (Authenc.unseal ~key (Authenc.decode (Authenc.encode sealed)))
+        Bytes.to_string (Authenc.unseal ~key
+             (Result.get_ok (Authenc.decode (Authenc.encode sealed))))
         = secret);
     Test.make ~name:"sha256 distinct on distinct strings" ~count:200
       (pair small_string small_string)

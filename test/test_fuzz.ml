@@ -117,105 +117,6 @@ let sql_store_consistency =
           | Result.Ok _, None | Result.Error _, Some _ -> false)
         ops)
 
-(* --- quote wire format ----------------------------------------------------------- *)
-
-let wire_total =
-  QCheck.Test.make ~name:"quote decoder total on garbage" ~count:300
-    QCheck.(string_of_size (QCheck.Gen.int_range 0 200))
-    (fun s ->
-      match Quote_wire.decode (Bytes.of_string s) with
-      | Result.Ok _ | Result.Error _ -> true
-      | exception _ -> false)
-
-(* --- vCPU SSA frames --------------------------------------------------------------- *)
-
-let vcpu_roundtrip =
-  QCheck.Test.make ~name:"vCPU SSA serialize/deserialize inverse" ~count:200
-    QCheck.(int_bound 100_000)
-    (fun seed ->
-      (* Arbitrary in-enclave execution state, as an AEX would spill it. *)
-      let rng = Rng.create ~seed:(Int64.of_int (77_000 + seed)) in
-      let regs = Vcpu.fresh ~entry:0x1000 in
-      Vcpu.scramble rng regs;
-      let frame = Vcpu.serialize regs in
-      if Bytes.length frame <> Vcpu.ssa_frame_bytes then
-        QCheck.Test.fail_reportf "frame is %d bytes, expected %d"
-          (Bytes.length frame) Vcpu.ssa_frame_bytes
-      else
-        Vcpu.equal regs (Vcpu.deserialize frame)
-        || QCheck.Test.fail_reportf "round-trip lost register state (seed %d)"
-             seed)
-
-let vcpu_malformed_rejected =
-  QCheck.Test.make ~name:"vCPU malformed SSA frame rejected" ~count:200
-    QCheck.(int_bound 400)
-    (fun len ->
-      if len = Vcpu.ssa_frame_bytes then true
-      else
-        match Vcpu.deserialize (Bytes.make len '\x7f') with
-        | _ -> QCheck.Test.fail_reportf "frame of %d bytes accepted" len
-        | exception Invalid_argument _ -> true)
-
-(* --- quote wire format: inverse + truncation --------------------------------------- *)
-
-(* One real platform+enclave shared by the quote properties; the
-   generator varies the report data and nonce, which reach every
-   length-framed field of the wire format. *)
-let quote_fixture =
-  lazy
-    (let p = Platform.create ~seed:8100L () in
-     Urts.create ~kmod:p.Platform.kmod ~proc:p.Platform.proc
-       ~rng:p.Platform.rng ~signer:p.Platform.signer
-       ~config:(Urts.default_config Sgx_types.GU)
-       ~ecalls:[ (1, fun _tenv input -> input) ]
-       ~ocalls:[])
-
-let quote_wire_roundtrip =
-  QCheck.Test.make ~name:"quote wire encode/decode inverse" ~count:40
-    (QCheck.make
-       QCheck.Gen.(
-         pair
-           (string_size (int_range 0 32))
-           (string_size (int_range 1 24))))
-    (fun (rd, nonce) ->
-      let handle = Lazy.force quote_fixture in
-      let quote =
-        Urts.gen_quote handle ~report_data:(Bytes.of_string rd)
-          ~nonce:(Bytes.of_string nonce)
-      in
-      match Quote_wire.decode (Quote_wire.encode quote) with
-      | Result.Error m -> QCheck.Test.fail_reportf "decode failed: %s" m
-      | Result.Ok decoded ->
-          decoded = quote
-          || QCheck.Test.fail_reportf
-               "decode . encode <> id (report_data=%S nonce=%S)" rd nonce)
-
-let quote_wire_truncation =
-  QCheck.Test.make ~name:"quote wire truncation rejected" ~count:10
-    QCheck.(int_bound 10_000)
-    (fun salt ->
-      let handle = Lazy.force quote_fixture in
-      let quote =
-        Urts.gen_quote handle
-          ~report_data:(Bytes.of_string (string_of_int salt))
-          ~nonce:(Bytes.of_string "trunc")
-      in
-      let encoded = Quote_wire.encode quote in
-      let ok = ref true in
-      for len = 0 to Bytes.length encoded - 1 do
-        match Quote_wire.decode (Bytes.sub encoded 0 len) with
-        | Result.Error _ -> ()
-        | Result.Ok _ ->
-            Printf.eprintf "prefix of %d/%d bytes accepted\n" len
-              (Bytes.length encoded);
-            ok := false
-        | exception exn ->
-            Printf.eprintf "prefix of %d bytes raised %s\n" len
-              (Printexc.to_string exn);
-            ok := false
-      done;
-      !ok)
-
 (* --- libOS fd layer ---------------------------------------------------------------- *)
 
 let libos_fd_invariants =
@@ -278,74 +179,21 @@ let libos_fd_invariants =
       Urts.destroy handle;
       !outcome)
 
-(* --- switchless ring frames: inverse + corruption --------------------------------- *)
+(* --- one codec harness over every binary format ------------------------------- *)
 
-(* The ring frames cross the shared ms region, so the parser consumes
-   attacker-reachable bytes: encode/parse must be inverses, and every
-   truncation or corrupted length word must surface as the typed
-   [Urts.Enclave_error] — never a bare [Invalid_argument] from
-   [Bytes.sub]. *)
-let ring_frame_gen =
-  QCheck.Gen.(
-    list_size (int_range 0 16)
-      (pair (int_range 0 1000) (string_size (int_range 0 64))))
+(* A platform+enclave for quotes; the quote row's generator varies the
+   report data and nonce, which reach every length-framed field of the
+   wire format. *)
+let quote_enclave () =
+  let p = Platform.create ~seed:8100L () in
+  Urts.create ~kmod:p.Platform.kmod ~proc:p.Platform.proc ~rng:p.Platform.rng
+    ~signer:p.Platform.signer
+    ~config:(Urts.default_config Sgx_types.GU)
+    ~ecalls:[ (1, fun _tenv input -> input) ]
+    ~ocalls:[]
 
-let ring_frame_roundtrip =
-  QCheck.Test.make ~name:"ring frame encode/parse inverse" ~count:200
-    (QCheck.make ring_frame_gen) (fun reqs ->
-      let reqs = List.map (fun (id, s) -> (id, Bytes.of_string s)) reqs in
-      let parsed =
-        Urts.parse_frames ~what:"fuzz" (Urts.frame_requests reqs)
-      in
-      List.map (fun (id, b) -> (id, Bytes.to_string b)) parsed
-      = List.map (fun (id, b) -> (id, Bytes.to_string b)) reqs)
+let quote_fixture = lazy (quote_enclave ())
 
-let ring_frame_truncation =
-  QCheck.Test.make ~name:"ring frame truncation rejected typed" ~count:50
-    (QCheck.make ring_frame_gen) (fun reqs ->
-      let reqs = List.map (fun (id, s) -> (id, Bytes.of_string s)) reqs in
-      let frame = Urts.frame_requests reqs in
-      let ok = ref true in
-      for len = 0 to Bytes.length frame - 1 do
-        match Urts.parse_frames ~what:"fuzz" (Bytes.sub frame 0 len) with
-        | _ -> () (* a shorter prefix can still be a valid frame *)
-        | exception Urts.Enclave_error _ -> ()
-        | exception exn ->
-            Printf.eprintf "prefix of %d/%d bytes raised %s\n" len
-              (Bytes.length frame) (Printexc.to_string exn);
-            ok := false
-      done;
-      !ok)
-
-let ring_frame_corrupt_length =
-  QCheck.Test.make ~name:"ring frame corrupt length word rejected typed"
-    ~count:200
-    (QCheck.make
-       QCheck.Gen.(
-         pair ring_frame_gen (oneof [ int_range (-1000) (-1); int_range 65 max_int ])))
-    (fun (reqs, bad_len) ->
-      let reqs =
-        match reqs with
-        | [] -> [ (1, Bytes.of_string "x") ]
-        | l -> List.map (fun (id, s) -> (id, Bytes.of_string s)) l
-      in
-      let frame = Urts.frame_requests reqs in
-      Bytes.set_int64_le frame 16 (Int64.of_int bad_len);
-      match Urts.parse_frames ~what:"fuzz" frame with
-      | _ ->
-          (* Only lengths that still fit the frame may parse. *)
-          bad_len >= 0 && bad_len <= Bytes.length frame - 32
-      | exception Urts.Enclave_error _ -> true
-      | exception exn ->
-          QCheck.Test.fail_reportf "length %d raised %s" bad_len
-            (Printexc.to_string exn))
-
-(* --- migration export blob: totality -------------------------------------------- *)
-
-(* The export blob is decoded after AEAD verification, so only a keyed
-   peer reaches the decoder — it must still be total: truncated,
-   byte-flipped or length-patched blobs yield [Ok]/[Error], never an
-   exception. *)
 let export_gen =
   QCheck.Gen.(
     let str = string_size (int_bound 24) in
@@ -364,55 +212,301 @@ let export_gen =
     and+ x_nonces = list_size (int_bound 3) str in
     { Serve.x_tenant; x_identity; x_sessions; x_nonces })
 
-(* Damage to a blob: truncate it, flip bytes, or overwrite a word —
-   often at offset 7, the first length word — with a value near
-   [max_int], an arbitrary one, or a small one. *)
-let damage_gen =
+(* Every binary format is one row: a value generator, the encoder, the
+   decoder, and the offsets of length words in a typical encoding (where
+   the damage generator aims its overwritten words).  A decoder that
+   refuses by exception is wrapped, so only its typed exception counts
+   as a refusal. *)
+type row =
+  | Row : {
+      name : string;
+      count : int;
+      gen : 'a QCheck.Gen.t;
+      encode : 'a -> bytes;
+      decode : bytes -> ('a, string) result;
+      words : int list;
+    }
+      -> row
+
+let bytes_gen n = QCheck.Gen.(map Bytes.of_string (string_size n))
+let non_negative = QCheck.Gen.(oneof [ map (fun n -> n land max_int) int; nat ])
+
+let ring_decode b =
+  match Urts.parse_frames ~what:"fuzz" b with
+  | slots -> Ok slots
+  | exception Urts.Enclave_error m -> Error m
+
+let rows =
+  let open QCheck.Gen in
+  [
+    Row
+      {
+        name = "quote wire";
+        count = 40;
+        gen =
+          map
+            (fun (rd, nonce) ->
+              Urts.gen_quote (Lazy.force quote_fixture)
+                ~report_data:(Bytes.of_string rd) ~nonce:(Bytes.of_string nonce))
+            (pair (string_size (int_range 0 32)) (string_size (int_range 1 24)));
+        encode = Quote_wire.encode;
+        decode = Quote_wire.decode;
+        words = [ 0; 8; 12 ];
+      };
+    Row
+      {
+        name = "sealed blob";
+        count = 200;
+        gen =
+          map
+            (fun (key, aad, nonce, plain) ->
+              Crypto.Authenc.seal ~key ~aad ~nonce plain)
+            (quad (bytes_gen (return 32)) (bytes_gen (int_bound 24))
+               (bytes_gen (return 12)) (bytes_gen (int_bound 64)));
+        encode = Crypto.Authenc.encode;
+        decode = Crypto.Authenc.decode;
+        words = [ 0; 16; 20 ];
+      };
+    Row
+      {
+        name = "export blob";
+        count = 300;
+        gen = export_gen;
+        encode = Cluster.encode_export;
+        decode = Cluster.decode_export;
+        words = [ 7; 19 ];
+      };
+    Row
+      {
+        name = "ticket payload";
+        count = 300;
+        gen =
+          triple (string_size (int_bound 24)) (bytes_gen (return 32)) int;
+        encode =
+          (fun (tenant, key, expires) -> Serve.encode_ticket ~tenant ~key ~expires);
+        decode = Serve.decode_ticket;
+        words = [ 0 ];
+      };
+    Row
+      {
+        name = "ring frame";
+        count = 200;
+        gen =
+          list_size (int_range 0 Urts.max_batch)
+            (pair int (bytes_gen (int_range 0 64)));
+        encode = Urts.frame_requests;
+        decode = ring_decode;
+        words = [ 0; 16 ];
+      };
+    Row
+      {
+        name = "TPM policy";
+        count = 300;
+        gen = pair (list_size (int_bound 24) (int_bound 255)) (bytes_gen (return 32));
+        encode =
+          (fun (pcr_selection, policy_digest) ->
+            Tpm.encode_policy ~pcr_selection ~policy_digest);
+        decode = Tpm.decode_policy;
+        words = [];
+      };
+    Row
+      {
+        name = "SSA frame";
+        count = 200;
+        gen =
+          map
+            (fun (seed, extreme) ->
+              (* Arbitrary in-enclave execution state, as an AEX spills it. *)
+              let regs = Vcpu.fresh ~entry:0x1000 in
+              Vcpu.scramble (Rng.create ~seed:(Int64.of_int (77_000 + seed))) regs;
+              regs.Vcpu.gpr.(seed mod 14) <- extreme;
+              regs)
+            (pair (int_bound 100_000) (oneofl [ 0; -1; max_int; min_int ]));
+        encode = Vcpu.serialize;
+        decode = Vcpu.deserialize;
+        words = [ 0; 136 ];
+      };
+    Row
+      {
+        name = "state range";
+        count = 300;
+        gen = pair non_negative non_negative;
+        encode = (fun (off, len) -> Serve.state_range ~off ~len);
+        decode = Serve.decode_state_range;
+        words = [ 0; 8 ];
+      };
+    Row
+      {
+        name = "state reply";
+        count = 300;
+        gen = non_negative;
+        encode = Serve.state_count;
+        decode = Serve.decode_state_count;
+        words = [ 0 ];
+      };
+  ]
+
+(* Damage to an encoding: replace it with garbage, truncate or extend
+   it, flip bytes, or overwrite a 64-bit little-endian or 32-bit
+   big-endian word (often at a length word) with a value near
+   [max_int], one with bit 63 (or 31) set, a negative one, or a small
+   one. *)
+let damage_gen words =
   QCheck.Gen.(
-    let flips = list_size (int_range 1 4) (pair nat (int_range 1 255)) in
-    let word =
+    let pos = if words = [] then nat else oneof [ oneofl words; nat ] in
+    let word64 =
       oneof
         [
           map (fun d -> Int64.(sub 0x3fff_ffff_ffff_ffffL (of_int d))) small_nat;
+          map (fun d -> Int64.(logor min_int (of_int d))) small_nat;
+          map (fun d -> Int64.of_int (-1 - d)) small_nat;
           map Int64.of_int int;
           map Int64.of_int small_nat;
         ]
     in
+    let word32 =
+      oneof
+        [
+          map (fun d -> Int32.(sub max_int (of_int d))) small_nat;
+          map (fun d -> Int32.(add min_int (of_int d))) small_nat;
+          map Int32.of_int small_nat;
+        ]
+    in
+    let overwrite width set =
+      map2 (fun pos w b ->
+          if Bytes.length b < width then b
+          else
+            let b = Bytes.copy b in
+            set b (pos mod (Bytes.length b - width + 1)) w;
+            b)
+        pos
+    in
     oneof
       [
-        map (fun n b -> Bytes.sub b 0 (n mod Bytes.length b)) nat;
+        map (fun s _ -> Bytes.of_string s) (string_size (int_bound 200));
+        map (fun n b -> Bytes.sub b 0 (n mod (Bytes.length b + 1))) nat;
+        map (fun s b -> Bytes.cat b (Bytes.of_string s)) (string_size (int_range 1 8));
         map
           (fun flips b ->
             let b = Bytes.copy b in
             List.iter
               (fun (pos, mask) ->
-                let pos = pos mod Bytes.length b in
-                let c = Char.code (Bytes.get b pos) lxor mask in
-                Bytes.set b pos (Char.chr c))
+                if Bytes.length b > 0 then begin
+                  let pos = pos mod Bytes.length b in
+                  Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor mask))
+                end)
               flips;
             b)
-          flips;
-        map2
-          (fun pos w b ->
-            let b = Bytes.copy b in
-            Bytes.set_int64_le b (pos mod (Bytes.length b - 7)) w;
-            b)
-          (oneof [ return 7; nat ])
-          word;
+          (list_size (int_range 1 4) (pair nat (int_range 1 255)));
+        overwrite 8 Bytes.set_int64_le word64;
+        overwrite 4 Bytes.set_int32_be word32;
       ])
 
-let export_decode_total =
-  QCheck.Test.make ~name:"export blob decoder total on damaged blobs" ~count:300
-    (QCheck.make (QCheck.Gen.pair export_gen damage_gen))
-    (fun (x, damage) ->
-      let blob = Cluster.encode_export x in
-      Cluster.decode_export blob = Ok x
-      &&
-      match Cluster.decode_export (damage blob) with
-      | Ok _ | Error _ -> true
-      | exception exn ->
-          QCheck.Test.fail_reportf "damaged blob raised %s"
-            (Printexc.to_string exn))
+(* Four properties per row: round trip; every strict prefix rejected;
+   damaged input never raises; and decoding is canonical, [decode b =
+   Ok v] implies [encode v = b], so no value has two encodings. *)
+let row_tests (Row r) =
+  let decode b =
+    try r.decode b
+    with exn ->
+      QCheck.Test.fail_reportf "%s: decoder raised %s on %d bytes" r.name
+        (Printexc.to_string exn) (Bytes.length b)
+  in
+  let value = QCheck.make r.gen in
+  let damaged = QCheck.make QCheck.Gen.(pair r.gen (damage_gen r.words)) in
+  let test property arb f =
+    QCheck.Test.make ~name:(r.name ^ " " ^ property) ~count:r.count arb f
+  in
+  [
+    test "encode/decode inverse" value (fun v -> decode (r.encode v) = Ok v);
+    test "truncation rejected" value (fun v ->
+        let b = r.encode v in
+        List.for_all
+          (fun len ->
+            Result.is_error (decode (Bytes.sub b 0 len))
+            || QCheck.Test.fail_reportf "%d-byte prefix of %d accepted" len
+                 (Bytes.length b))
+          (List.init (Bytes.length b) Fun.id));
+    test "total on damaged input" damaged (fun (v, damage) ->
+        ignore (decode (damage (r.encode v)));
+        true);
+    test "decoding canonical" damaged (fun (v, damage) ->
+        let b = damage (r.encode v) in
+        match decode b with
+        | Error _ -> true
+        | Ok v' ->
+            Bytes.equal (r.encode v') b
+            || QCheck.Test.fail_reportf "accepted a second encoding (%d bytes)"
+                 (Bytes.length b));
+  ]
+
+(* One known answer per format, captured before the formats moved onto
+   [Codec]: the encodings are byte-identical to the hand-rolled ones. *)
+let test_codec_known_answers () =
+  let hex = Sha256.to_hex in
+  let sha b = hex (Sha256.digest_bytes b) in
+  let check name expected got = Alcotest.(check string) name expected got in
+  let quote =
+    Urts.gen_quote (quote_enclave ()) ~report_data:(Bytes.of_string "frozen")
+      ~nonce:(Bytes.of_string "frozen-nonce")
+  in
+  check "quote wire"
+    "89c850ac4e2b8a155aebf8240579e715f4278d624d48cc99ec3708c28175be8e"
+    (sha (Quote_wire.encode quote));
+  let session =
+    { Serve.x_session = 3; x_key = Bytes.make 32 'k'; x_recv_seq = 5;
+      x_pages = 1; x_state = Bytes.make 16 's' }
+  in
+  check "export blob"
+    ("68656d6967313a040000000000000061636d6520000000000000006969696969696969"
+   ^ "6969696969696969696969696969696969696969696969690100000000000000030000"
+   ^ "000000000020000000000000006b6b6b6b6b6b6b6b6b6b6b6b6b6b6b6b6b6b6b6b6b6b"
+   ^ "6b6b6b6b6b6b6b6b6b6b05000000000000000100000000000000100000000000000073"
+   ^ "737373737373737373737373737373020000000000000002000000000000006e300200"
+   ^ "0000000000006e31")
+    (hex
+       (Cluster.encode_export
+          { Serve.x_tenant = "acme"; x_identity = Bytes.make 32 'i';
+            x_sessions = [ session ]; x_nonces = [ "n0"; "n1" ] }));
+  check "ticket payload"
+    ("040000000000000061636d656b6b6b6b6b6b6b6b6b6b6b6b6b6b6b6b6b6b6b6b6b6b6b"
+   ^ "6b6b6b6b6b6b6b6b6b15cd5b0700000000")
+    (hex
+       (Serve.encode_ticket ~tenant:"acme" ~key:(Bytes.make 32 'k')
+          ~expires:123456789));
+  check "ring frame"
+    ("03000000000000000100000000000000050000000000000068656c6c6f020000000000"
+   ^ "000000000000000000000700000000000000040000000000000072696e67")
+    (hex
+       (Urts.frame_requests
+          [ (1, Bytes.of_string "hello"); (2, Bytes.empty);
+            (7, Bytes.of_string "ring") ]));
+  check "TPM policy"
+    ("0300010764646464646464646464646464646464646464646464646464646464646464"
+   ^ "64")
+    (hex
+       (Tpm.encode_policy ~pcr_selection:[ 0; 1; 7 ]
+          ~policy_digest:(Bytes.make 32 'd')));
+  let regs = Vcpu.fresh ~entry:0x1000 in
+  Vcpu.scramble (Rng.create ~seed:77001L) regs;
+  regs.Vcpu.gpr.(0) <- -1;
+  regs.Vcpu.gpr.(1) <- max_int;
+  regs.Vcpu.gpr.(2) <- min_int;
+  check "SSA frame"
+    "074a026eabec7a79f6e4834aaf056c1fa10f47e9ee93a78e5a3bf544862c2a08"
+    (sha (Vcpu.serialize regs));
+  check "serve transcript"
+    "1ed9ffee94502ced90f220fe19f915e93bd3879b00fbf2b1d92aac87e18ccd56"
+    (hex
+       (Sha256.transcript "hyperenclave-serve-sigma:"
+          [ Bytes.of_string "nonce-16-bytes!!"; Bytes.make 32 'c';
+            Bytes.make 32 's'; Bytes.make 32 'i' ]));
+  check "offer transcript"
+    "3d1c849e0c0c77a6bf766a6b9348a81039c74736e333ad958c5a4ad34ce3d607"
+    (hex
+       (Sha256.transcript "cluster-migrate-offer:"
+          [ Bytes.of_string "acme"; Bytes.of_string "0"; Bytes.of_string "1";
+            Bytes.make 16 'n'; Bytes.make 32 'x' ]))
 
 (* --- session tickets: resume is total ------------------------------------------------ *)
 
@@ -495,7 +589,7 @@ let ticket_damage_gen =
         map
           (fun aad b ->
             Crypto.Authenc.encode
-              { (Crypto.Authenc.decode b) with Crypto.Authenc.aad = Bytes.of_string aad })
+              { (Result.get_ok (Crypto.Authenc.decode b)) with Crypto.Authenc.aad = Bytes.of_string aad })
           (oneof [ oneofl [ ""; "serve-ticket:v2"; "serve-session" ]; string ]);
       ])
 
@@ -567,16 +661,12 @@ let suite =
       http_valid_requests;
       sql_total;
       sql_store_consistency;
-      wire_total;
-      vcpu_roundtrip;
-      vcpu_malformed_rejected;
-      quote_wire_roundtrip;
-      quote_wire_truncation;
-      ring_frame_roundtrip;
-      ring_frame_truncation;
-      ring_frame_corrupt_length;
-      export_decode_total;
       ticket_resume_total;
       libos_fd_invariants;
       platform_cycle_determinism;
+    ]
+  @ List.map QCheck_alcotest.to_alcotest (List.concat_map row_tests rows)
+  @ [
+      Alcotest.test_case "codec known answers frozen" `Quick
+        test_codec_known_answers;
     ]

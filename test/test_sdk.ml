@@ -96,6 +96,34 @@ let test_sealing () =
     (Bytes.to_string (Urts.ecall handle ~id:2 ~data:blob ~direction:Edge.In_out ()));
   Urts.destroy handle
 
+let test_unseal_malformed_blob () =
+  (* Blobs come back from untrusted storage: a truncated one must fail
+     the way a forged one does, not escape as [Invalid_argument]. *)
+  let _, handle =
+    fixture
+      ~ecalls:
+        [
+          (1, fun (tenv : Tenv.t) input -> tenv.Tenv.seal input);
+          (2, fun (tenv : Tenv.t) blob -> tenv.Tenv.unseal blob);
+          (3, fun (tenv : Tenv.t) blob -> tenv.Tenv.unseal_versioned blob);
+        ]
+      ~ocalls:[] ()
+  in
+  let blob =
+    Urts.ecall handle ~id:1 ~data:(Bytes.of_string "database key")
+      ~direction:Edge.In_out ()
+  in
+  List.iter
+    (fun (id, len) ->
+      Alcotest.check_raises
+        (Printf.sprintf "ecall %d, %d-byte prefix" id len)
+        Crypto.Authenc.Authentication_failure (fun () ->
+          ignore
+            (Urts.ecall handle ~id ~data:(Bytes.sub blob 0 len)
+               ~direction:Edge.In_out ())))
+    [ (2, 0); (2, 10); (2, Bytes.length blob - 1); (3, 10) ];
+  Urts.destroy handle
+
 let test_sealing_bound_to_mrenclave () =
   (* A different enclave (different code identity) cannot unseal. *)
   let p = Platform.create ~seed:3001L () in
@@ -683,6 +711,21 @@ let test_ring_frame_parsing () =
   Bytes.set_int64_le oversized 16 (Int64.of_int (Bytes.length frame));
   expect_typed "slot overruns frame" oversized
 
+let test_ring_frame_bit63_and_trailing () =
+  (* A slot length word of 2^63 + 5 is not 5: dropping bit 63 would
+     parse the frame.  Bytes after the last slot are not a valid frame
+     either. *)
+  let frame = Urts.frame_requests [ (1, Bytes.of_string "hello") ] in
+  let expect_typed name raw =
+    match Urts.parse_frames ~what:"test" raw with
+    | _ -> Alcotest.fail (name ^ ": accepted")
+    | exception Urts.Enclave_error _ -> ()
+  in
+  let bit63 = Bytes.copy frame in
+  Bytes.set_int64_le bit63 16 (Int64.logor Int64.min_int 5L);
+  expect_typed "bit-63 slot length" bit63;
+  expect_typed "trailing bytes" (Bytes.cat frame (Bytes.make 4 '\000'))
+
 let test_oret_batch_unknown_ocall () =
   (* The drained reply-ring frame comes back through the shared ms
      region, so its OCALL ids are untrusted input: an id with no
@@ -936,6 +979,8 @@ let suite =
     Alcotest.test_case "ocall ring errors" `Quick test_ocall_ring_errors;
     Alcotest.test_case "ocall ring amortizes" `Quick test_ocall_ring_amortizes;
     Alcotest.test_case "ring frame parsing" `Quick test_ring_frame_parsing;
+    Alcotest.test_case "ring frame bit 63 and trailing bytes" `Quick
+      test_ring_frame_bit63_and_trailing;
     Alcotest.test_case "oret_batch unknown OCALL typed" `Quick
       test_oret_batch_unknown_ocall;
     Alcotest.test_case "interrupt-frequency guard" `Quick test_interrupt_guard;
@@ -945,6 +990,8 @@ let suite =
     Alcotest.test_case "ocall roundtrip" `Quick test_ocall_roundtrip;
     Alcotest.test_case "heap + memory" `Quick test_heap_and_memory;
     Alcotest.test_case "sealing" `Quick test_sealing;
+    Alcotest.test_case "unseal malformed blob typed" `Quick
+      test_unseal_malformed_blob;
     Alcotest.test_case "sealing bound to MRENCLAVE" `Quick
       test_sealing_bound_to_mrenclave;
     Alcotest.test_case "exceptions two-phase (GU)" `Quick test_exceptions_two_phase;

@@ -121,7 +121,10 @@ let test_sealing () =
     (Bytes.to_string (Sgx_model.unseal enclave blob));
   let key_a = Sgx_model.getkey enclave Sgx_types.Seal_key_mrenclave in
   let key_b = Sgx_model.getkey enclave Sgx_types.Seal_key_mrsigner in
-  Alcotest.(check bool) "key separation" false (Bytes.equal key_a key_b)
+  Alcotest.(check bool) "key separation" false (Bytes.equal key_a key_b);
+  (* A malformed blob from untrusted storage fails like a forged one. *)
+  Alcotest.check_raises "truncated blob" Crypto.Authenc.Authentication_failure
+    (fun () -> ignore (Sgx_model.unseal enclave (Bytes.sub blob 0 10)))
 
 let suite =
   [
