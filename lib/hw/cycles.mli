@@ -28,8 +28,10 @@ val time : t -> (unit -> 'a) -> 'a * int
 val advance_to : t -> at:int -> unit
 (** [advance_to clock ~at] moves the clock forward to cycle [at] if it is
     behind (no-op otherwise).  Models idle time — a per-core scheduler
-    clock waiting for work — so the skipped span is NOT added to
-    {!total_ticked}, which counts only work performed. *)
+    clock waiting for work — and a core clock catching up with a slice
+    whose work was already ticked on the shared clock, so the skipped
+    span is NOT added to {!total_ticked}, which counts only work
+    performed, once. *)
 
 val reset : t -> unit
 (** [reset clock] sets the counter back to 0.  Only used by test fixtures;

@@ -285,13 +285,20 @@ let run_requests t (job : job) =
           count)
 
 (* One scheduling slice: execute requests on the shared platform clock
-   until the quantum is consumed or the job drains, then charge the
-   elapsed delta to the core-local clock.  The job's AEX timer is armed
-   for the duration, so a single long request still gets sheared into
+   until the quantum is consumed or the job drains, then move the
+   core-local clock forward by the elapsed delta.  The work already
+   ticked the shared clock, so the core clock advances without counting
+   it again in [Cycles.total_ticked].  The job's AEX timer is armed for
+   the duration, so a single long request still gets sheared into
    quantum-sized chunks by genuine AEX/ERESUME round trips. *)
 let run_slice t (core : core) (job : job) =
   let start = Cycles.now t.shared_clock in
   let consumed () = Cycles.now t.shared_clock - start in
+  let charge delta =
+    Cycles.advance_to core.clock ~at:(Cycles.now core.clock + delta);
+    core.busy <- core.busy + delta;
+    match job.on_slice with Some f -> f ~cycles:delta | None -> ()
+  in
   Urts.arm_timer job.urts ~quantum:t.config.quantum
     ?on_preempt:
       (Some
@@ -308,16 +315,11 @@ let run_slice t (core : core) (job : job) =
      done
    with exn ->
      finish ();
-     let delta = consumed () in
-     Cycles.tick core.clock delta;
-     core.busy <- core.busy + delta;
-     (match job.on_slice with Some f -> f ~cycles:delta | None -> ());
+     charge (consumed ());
      raise exn);
   finish ();
   let delta = consumed () in
-  Cycles.tick core.clock delta;
-  core.busy <- core.busy + delta;
-  (match job.on_slice with Some f -> f ~cycles:delta | None -> ());
+  charge delta;
   Telemetry.observe t.telemetry "sched.slice_cycles" (max 1 delta);
   if not (drained job) then begin
     (* Quantum expired with work left: requeue at the back. *)

@@ -203,6 +203,38 @@ let test_work_stealing_invariance () =
   Alcotest.(check int)
     "serial run kept core 1 idle" 0 serial.stats.Sched.per_core.(1).Sched.busy
 
+(* A slice's work ticks the shared clock once; advancing the core clock
+   by the same delta must not count it again.  Over a run, the
+   process-wide work counter grows by the shared-clock delta plus the
+   steal penalties (idle parking is not work). *)
+let test_slices_counted_once () =
+  let p = Platform.create ~seed:4200L () in
+  let handles =
+    List.init 3 (fun i ->
+        make_enclave p ~seed_name:(Printf.sprintf "once-%d" i) ~burn:20_000)
+  in
+  let config =
+    { Sched.default_config with Sched.cores = 2; quantum = 100_000_000 }
+  in
+  let sched =
+    Sched.create ~shared_clock:p.Platform.clock ~telemetry:(telemetry p) config
+  in
+  List.iteri
+    (fun i handle ->
+      Sched.submit sched ~core:0 ~urts:handle
+        (requests ~tag:(Printf.sprintf "once%d" i) 4))
+    handles;
+  let shared0 = Cycles.now p.Platform.clock in
+  let ticked0 = Cycles.total_ticked () in
+  let stats = Sched.run sched in
+  let shared = Cycles.now p.Platform.clock - shared0 in
+  Alcotest.(check bool) "a steal happened" true (stats.Sched.steals > 0);
+  Alcotest.(check int)
+    "total_ticked = shared-clock work + steal penalties"
+    (shared + (stats.Sched.steals * config.Sched.steal_penalty))
+    (Cycles.total_ticked () - ticked0);
+  List.iter Urts.destroy handles
+
 let test_batched_scheduler_run () =
   let unbatched = run_workload { small_quantum with Sched.quantum = 400_000 } in
   let batched =
@@ -326,6 +358,8 @@ let suite =
       test_work_stealing_invariance;
     Alcotest.test_case "batched scheduler beats unbatched" `Quick
       test_batched_scheduler_run;
+    Alcotest.test_case "scheduled slices counted once" `Quick
+      test_slices_counted_once;
     Alcotest.test_case "stats keep running totals across rounds" `Quick
       test_stats_running_totals;
     Alcotest.test_case "2-enclave/2-core chaos with invariant checks" `Quick
