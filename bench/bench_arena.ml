@@ -13,7 +13,6 @@
 
 open Hyperenclave
 
-let clock_hz = 2.2e9
 
 (* --- steady-state allocation accounting -------------------------------- *)
 
@@ -117,7 +116,7 @@ let hot_sessions = 8
 let hot_rounds = 3
 let hot_reqs_per_session_round = 8
 
-type hot_run = { h_cores : int; h_rps : float; h_served : int }
+type hot_run = { h_cores : int; h_rps : float; h_crit_rps : float; h_served : int }
 
 (* One tenant, one enclave, [hot_sessions] attested sessions hammering
    it: the plane-wide block rotor must spread the single tenant's
@@ -171,6 +170,7 @@ let measure_hot ~cores =
   in
   let clients = first :: others in
   let served = ref 0 in
+  let crit0 = Bench_serve.critical_path p plane in
   for round = 0 to hot_rounds - 1 do
     List.iteri
       (fun ci client ->
@@ -198,13 +198,13 @@ let measure_hot ~cores =
       (Serve.flush plane)
   done;
   let stats = Serve.sched_stats plane in
+  let crit = Bench_serve.critical_path p plane - crit0 in
   Serve.destroy plane;
+  let served_total = stats.Sched.total_requests in
   {
     h_cores = cores;
-    h_rps =
-      float_of_int stats.Sched.total_requests
-      *. clock_hz
-      /. float_of_int (max 1 stats.Sched.makespan);
+    h_rps = Bench_serve.rate ~served:served_total ~cycles:stats.Sched.makespan;
+    h_crit_rps = Bench_serve.rate ~served:served_total ~cycles:crit;
     h_served = !served;
   }
 
@@ -215,6 +215,7 @@ type summary = {
   rps_8core : float;  (* 4-tenant arena path, from Bench_serve *)
   hot_runs : hot_run list;
   hot_rps_8core : float;
+  hot_crit_rps_8core : float;
   hot_ratio : float;  (* hot single-tenant rate / multi-tenant rate *)
   hot_speedup_2core : float;
 }
@@ -229,6 +230,8 @@ let summarize () =
     rps_8core;
     hot_runs;
     hot_rps_8core = hot_rps 8;
+    hot_crit_rps_8core =
+      (List.find (fun r -> r.h_cores = 8) hot_runs).h_crit_rps;
     hot_ratio = hot_rps 8 /. rps_8core;
     hot_speedup_2core = hot_rps 2 /. hot_rps 1;
   }

@@ -93,10 +93,17 @@ let drive_round clients =
       (Cycles.total_ticked () - t0) / batch)
     clients
 
+let critical_paths cl =
+  List.map
+    (fun n -> Bench_serve.critical_path (Cluster.Node.platform n) (Cluster.Node.plane n))
+    (Cluster.nodes cl)
+
 (* Aggregate attested rate: total scheduler throughput over the
    slowest node — nodes run on independent simulated clocks, so the
-   fleet finishes when its most loaded node does. *)
-let fleet_rate cl =
+   fleet finishes when its most loaded node does.  Returned twice: over
+   the slowest makespan, and over the longest critical path since
+   [crit0] (the nodes' [critical_paths] when serving began). *)
+let fleet_rate cl ~crit0 =
   let served = ref 0 and slowest = ref 1 in
   List.iter
     (fun n ->
@@ -106,17 +113,22 @@ let fleet_rate cl =
         if s.Sched.makespan > !slowest then slowest := s.Sched.makespan
       end)
     (Cluster.nodes cl);
-  float_of_int !served *. clock_hz /. float_of_int !slowest
+  let crit =
+    List.fold_left2 (fun acc c0 c1 -> max acc (c1 - c0)) 1 crit0 (critical_paths cl)
+  in
+  ( float_of_int !served *. clock_hz /. float_of_int !slowest,
+    Bench_serve.rate ~served:!served ~cycles:crit )
 
 let measure_rate ~nodes ~seed =
   let cl, clients = build ~nodes ~seed in
+  let crit0 = critical_paths cl in
   for _ = 1 to rounds do
     ignore (drive_round clients : int list)
   done;
-  let rate = fleet_rate cl in
+  let rates = fleet_rate cl ~crit0 in
   List.iter Cluster.Client.close clients;
   Cluster.destroy cl;
-  rate
+  rates
 
 (* p99 per-request cost while a rolling upgrade migrates every tenant
    out and back under live traffic, plus the worst migration pause. *)
@@ -143,6 +155,7 @@ let measure_upgrade ~seed =
 type summary = {
   rps_by_nodes : (int * float) list;
   rps_4x8 : float;
+  crit_4x8 : float;  (* the 4-node rate over the longest critical path *)
   scaling_1_2 : float;
   scaling_2_4 : float;
   p99_upgrade : int;
@@ -151,14 +164,16 @@ type summary = {
 }
 
 let summarize () =
-  let rps_by_nodes =
+  let rates =
     List.map (fun nodes -> (nodes, measure_rate ~nodes ~seed:1001L)) [ 1; 2; 4 ]
   in
+  let rps_by_nodes = List.map (fun (n, (r, _)) -> (n, r)) rates in
   let rate n = List.assoc n rps_by_nodes in
   let p99_upgrade, pause, upgrade_migrations = measure_upgrade ~seed:1002L in
   {
     rps_by_nodes;
     rps_4x8 = rate 4;
+    crit_4x8 = snd (List.assoc 4 rates);
     scaling_1_2 = rate 2 /. rate 1;
     scaling_2_4 = rate 4 /. rate 2;
     p99_upgrade;

@@ -34,12 +34,31 @@ let golden_of (p : Platform.t) =
     ~ek_public:(Tpm.ek_public p.Platform.tpm)
     (Monitor.boot_log p.Platform.monitor)
 
+(* The critical path of one node so far: its serial platform work (the
+   platform clock minus the scheduled slices it contains, which run on
+   the platform clock and are charged to a core as well) plus the
+   scheduler's makespan.  A rate over the difference of two readings
+   counts every cycle a request waits for, on the plane's clock or on
+   the cores; a makespan-only rate ignores the plane's serial work. *)
+let critical_path (p : Platform.t) plane =
+  let s = Serve.sched_stats plane in
+  let busy =
+    Array.fold_left
+      (fun b (c : Sched.core_stats) -> b + c.Sched.busy)
+      0 s.Sched.per_core
+  in
+  Cycles.now p.Platform.clock - busy + s.Sched.makespan
+
+let rate ~served ~cycles =
+  float_of_int served *. clock_hz /. float_of_int (max 1 cycles)
+
 let payload seed i =
   Bytes.init value_bytes (fun j -> Char.chr (97 + ((seed + i + j) mod 26)))
 
 type run = {
   cores : int;
   rps : float;
+  crit_rps : float;  (* served over the critical path, see [critical_path] *)
   served : int;
   makespan : int;
   handshake_cycles : int;
@@ -110,6 +129,7 @@ let measure ~cores =
   (* Serving: every client stages a sealed batch, one flush serves all
      tenants concurrently across the scheduler's cores. *)
   let served = ref 0 in
+  let crit0 = critical_path p plane in
   for round = 0 to rounds - 1 do
     List.iteri
       (fun ci (_, _, client) ->
@@ -136,15 +156,14 @@ let measure ~cores =
       replies
   done;
   let stats = Serve.sched_stats plane in
+  let crit = critical_path p plane - crit0 in
   (* The plane owns the tenant backends now: one destroy tears down
      everything, including the quoting enclave. *)
   Serve.destroy plane;
   {
     cores;
-    rps =
-      float_of_int stats.Sched.total_requests
-      *. clock_hz
-      /. float_of_int (max 1 stats.Sched.makespan);
+    rps = rate ~served:stats.Sched.total_requests ~cycles:stats.Sched.makespan;
+    crit_rps = rate ~served:stats.Sched.total_requests ~cycles:crit;
     served = !served;
     makespan = stats.Sched.makespan;
     handshake_cycles = !handshake_cycles;

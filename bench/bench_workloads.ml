@@ -75,13 +75,15 @@ type run = {
   label : string;
   served : int;
   rps : float;
+  crit_rps : float;  (* served over the critical path *)
   mean_latency : int; (* cycles per served request, makespan-based *)
 }
 
 (* Drive [rounds] x [batch] requests from [next_request] through the
    plane and convert scheduler makespan into an attested service rate. *)
-let drive kind plane client ~label ~batch next_request =
+let drive kind p plane client ~label ~batch next_request =
   let served = ref 0 in
+  let crit0 = Bench_serve.critical_path p plane in
   for round = 0 to rounds - 1 do
     for i = 0 to batch - 1 do
       let req =
@@ -113,10 +115,12 @@ let drive kind plane client ~label ~batch next_request =
   done;
   let stats = Serve.sched_stats plane in
   let makespan = max 1 stats.Sched.makespan in
+  let crit = Bench_serve.critical_path p plane - crit0 in
   {
     label;
     served = !served;
     rps = float_of_int stats.Sched.total_requests *. clock_hz /. float_of_int makespan;
+    crit_rps = Bench_serve.rate ~served:stats.Sched.total_requests ~cycles:crit;
     mean_latency = makespan / max 1 stats.Sched.total_requests;
   }
 
@@ -125,13 +129,13 @@ let drive kind plane client ~label ~batch next_request =
 let resp_records = 256
 
 let measure_resp ~batch ~seed =
-  let _p, plane, backend, client = build Services.Resp_kv ~seed in
+  let p, plane, backend, client = build Services.Resp_kv ~seed in
   ignore (admin backend (Services.load_request ~records:resp_records));
   let gen =
     Workloads.Ycsb.create ~rng:(Rng.create ~seed:81L) ~records:resp_records ()
   in
   let r =
-    drive Services.Resp_kv plane client
+    drive Services.Resp_kv p plane client
       ~label:(Printf.sprintf "batch %d" batch)
       ~batch
       (fun _ ->
@@ -143,11 +147,11 @@ let measure_resp ~batch ~seed =
 (* --- kvdb: YCSB-A SQL vs loaded records (Fig. 8b) ----------------------- *)
 
 let measure_kvdb ~records ~seed =
-  let _p, plane, backend, client = build Services.Kvdb ~seed in
+  let p, plane, backend, client = build Services.Kvdb ~seed in
   ignore (admin backend (Services.load_request ~records));
   let gen = Workloads.Ycsb.create ~rng:(Rng.create ~seed:82L) ~records () in
   let r =
-    drive Services.Kvdb plane client
+    drive Services.Kvdb p plane client
       ~label:(Printf.sprintf "%d records" records)
       ~batch:reqs_per_round
       (fun i ->
@@ -161,10 +165,10 @@ let measure_kvdb ~records ~seed =
 (* --- httpd: GETs vs page size (Fig. 8c) --------------------------------- *)
 
 let measure_httpd ~page_bytes ~seed =
-  let _p, plane, backend, client = build Services.Httpd ~seed in
+  let p, plane, backend, client = build Services.Httpd ~seed in
   ignore (admin backend (Services.page_request ~path:"/index.html" ~bytes:page_bytes));
   let r =
-    drive Services.Httpd plane client
+    drive Services.Httpd p plane client
       ~label:(Printf.sprintf "%d B pages" page_bytes)
       ~batch:reqs_per_round
       (fun _ -> Services.http_request ~path:"/index.html")
@@ -181,6 +185,9 @@ type summary = {
   rps_resp : float; (* headline rates for the gate *)
   rps_kvdb : float;
   rps_httpd : float;
+  crit_resp : float;  (* the same runs over the critical path *)
+  crit_kvdb : float;
+  crit_httpd : float;
 }
 
 let summarize () =
@@ -203,6 +210,9 @@ let summarize () =
     rps_resp = (last resp_runs).rps;
     rps_kvdb = (List.hd kvdb_runs).rps;
     rps_httpd = (List.hd httpd_runs).rps;
+    crit_resp = (last resp_runs).crit_rps;
+    crit_kvdb = (List.hd kvdb_runs).crit_rps;
+    crit_httpd = (List.hd httpd_runs).crit_rps;
   }
 
 let print_runs title runs =

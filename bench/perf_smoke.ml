@@ -31,8 +31,9 @@ type row = {
   check : check;
   measured : float;
   wall : bool;
-      (** host wall clock: `--write` keeps an existing baseline, since one
-          timed pass is too noisy to tighten from *)
+      (** host wall clock: `--write` keeps an existing baseline, since
+          even the fastest of a few timed passes is too noisy to tighten
+          from *)
 }
 
 let row key check measured = { key; check; measured; wall = false }
@@ -42,6 +43,8 @@ let row key check measured = { key; check; measured; wall = false }
 let cycles better = Within (better, 0.01)
 let words = Within (Lower, 0.02)
 
+let wall_passes = 5
+
 let rows () =
   let t = Bench_throughput.summarize () in
   let s = Bench_serve.summarize () in
@@ -50,9 +53,9 @@ let rows () =
   let w = Bench_workloads.summarize () in
   let c = Bench_cluster.summarize () in
   let rps_at n = (List.find (fun r -> r.Bench_throughput.cores = n) t.runs).rps in
-  let attested_at n =
-    (List.find (fun r -> r.Bench_serve.cores = n) s.Bench_serve.runs).rps
-  in
+  let attested n = List.find (fun r -> r.Bench_serve.cores = n) s.Bench_serve.runs in
+  let attested_at n = (attested n).rps in
+  let crit_at n = (attested n).crit_rps in
   let deterministic =
     [
       row "rps_1core" (cycles Higher) (rps_at 1);
@@ -66,6 +69,10 @@ let rows () =
       row "attested_rps_4core" (cycles Higher) (attested_at 4);
       row "attested_rps_8core" (cycles Higher) (attested_at 8);
       row "attested_rps_8core" (At_least 6.6e6) (attested_at 8);
+      row "attested_rps_1core_crit" (cycles Higher) (crit_at 1);
+      row "attested_rps_2core_crit" (cycles Higher) (crit_at 2);
+      row "attested_rps_4core_crit" (cycles Higher) (crit_at 4);
+      row "attested_rps_8core_crit" (cycles Higher) (crit_at 8);
       row "serve_speedup_2core" (At_least 1.5) s.Bench_serve.speedup_2core;
       row "ocall_ring_amortization_k8" (At_least 2.0) z.ring_k8;
       row "handshake_cycles" (cycles Lower) (float_of_int z.handshake_cycles);
@@ -74,12 +81,17 @@ let rows () =
         (float_of_int z.resume_cycles /. float_of_int z.handshake_cycles);
       row "minor_words_per_request" words a.words_arena;
       row "hot_tenant_rps_8core" (cycles Higher) a.hot_rps_8core;
+      row "hot_tenant_rps_8core_crit" (cycles Higher) a.hot_crit_rps_8core;
       row "hot_tenant_ratio" (At_least 0.8) a.hot_ratio;
       row "hot_speedup_2core" (At_least 1.6) a.hot_speedup_2core;
       row "workload_rps_resp_kv" (cycles Higher) w.rps_resp;
       row "workload_rps_kvdb" (cycles Higher) w.rps_kvdb;
       row "workload_rps_httpd" (cycles Higher) w.rps_httpd;
+      row "workload_rps_resp_kv_crit" (cycles Higher) w.crit_resp;
+      row "workload_rps_kvdb_crit" (cycles Higher) w.crit_kvdb;
+      row "workload_rps_httpd_crit" (cycles Higher) w.crit_httpd;
       row "cluster_rps_4x8" (cycles Higher) c.rps_4x8;
+      row "cluster_rps_4x8_crit" (cycles Higher) c.crit_4x8;
       row "cluster_scaling_1_2" (At_least 1.6) c.scaling_1_2;
       row "cluster_scaling_2_4" (At_least 1.6) c.scaling_2_4;
       row "cluster_p99_upgrade_cycles" (cycles Lower)
@@ -88,11 +100,17 @@ let rows () =
     ]
   in
   (* One untimed warm-up pass so allocator/page-cache effects don't count
-     against the budget, then the single timed pass. *)
+     against the budget, then the fastest of [wall_passes] timed passes:
+     on a shared host one pass of unchanged code measured 0.118 s, then
+     0.209 s, back to back, and only the fastest pass is slow just when
+     every pass is. *)
   Smoke.run ();
-  let wall0 = Unix.gettimeofday () in
-  Smoke.run ();
-  let smoke = Unix.gettimeofday () -. wall0 in
+  let timed () =
+    let wall0 = Unix.gettimeofday () in
+    Smoke.run ();
+    Unix.gettimeofday () -. wall0
+  in
+  let smoke = List.fold_left min infinity (List.init wall_passes (fun _ -> timed ())) in
   deterministic
   @ [
       {
