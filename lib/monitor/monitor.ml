@@ -984,8 +984,12 @@ let interrupt_alarms (enclave : Enclave.t) =
 
 (* --- keys and attestation ------------------------------------------------- *)
 
+(* EGETKEY is an enclave leaf: a key is derived only for the enclave
+   running on this vCPU (entered through a TCS, or the ring worker under
+   [with_worker]), never handed to the host. *)
 let egetkey t (enclave : Enclave.t) key_name =
   require_launched t "egetkey";
+  require_entered t enclave "egetkey";
   Cycles.tick t.clock (World_switch.transition_cost t.cost (Enclave.mode enclave));
   let label = Sgx_types.key_name_label key_name in
   let identity =

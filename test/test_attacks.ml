@@ -197,6 +197,47 @@ let test_swap_splice () =
   | Some _ -> ()
   | None -> Alcotest.fail "no continuation forced the spliced blob's swap-in"
 
+(* --- enclave-only leaves ------------------------------------------------- *)
+
+(* An enclave seals a secret with its MRENCLAVE sealing key; the host
+   (the untrusted kernel module) asks the monitor for that key through
+   the batched ioctl and directly.  EGETKEY is an enclave leaf, so both
+   are refused and the blob stays sealed; the enclave itself still
+   unseals it. *)
+let test_host_egetkey_refused () =
+  let p = Platform.create ~seed:9050L () in
+  let handle =
+    Urts.create ~kmod:p.Platform.kmod ~proc:p.Platform.proc ~rng:p.Platform.rng
+      ~signer:p.Platform.signer
+      ~config:(Urts.default_config Sgx_types.GU)
+      ~ecalls:
+        [
+          (1, fun (tenv : Tenv.t) input -> tenv.Tenv.seal input);
+          (2, fun (tenv : Tenv.t) input -> tenv.Tenv.unseal input);
+        ]
+      ~ocalls:[]
+  in
+  let secret = Bytes.of_string "sealed by the enclave" in
+  let blob = Urts.ecall handle ~id:1 ~data:secret ~direction:Edge.In_out () in
+  let enclave = Urts.enclave handle in
+  (match
+     Kmod.ioctl_batch p.Platform.kmod
+       [ Hypercall.Egetkey { enclave; name = Sgx_types.Seal_key_mrenclave } ]
+   with
+  | [ Hypercall.Fault msg ] ->
+      Alcotest.(check bool)
+        (Printf.sprintf "refusal names the leaf: %s" msg)
+        true (contains msg "egetkey")
+  | _ -> Alcotest.fail "host EGETKEY through EBATCH was not refused");
+  (try
+     ignore (Monitor.egetkey p.Platform.monitor enclave Sgx_types.Seal_key_mrenclave);
+     Alcotest.fail "host EGETKEY returned a key"
+   with Monitor.Security_violation _ -> ());
+  Alcotest.(check bytes)
+    "the enclave still unseals its blob" secret
+    (Urts.ecall handle ~id:2 ~data:blob ~direction:Edge.In_out ());
+  Urts.destroy handle
+
 (* --- serving-plane probes ----------------------------------------------- *)
 
 let echo_handlers = [ (1, fun _env input -> input) ]
@@ -313,6 +354,8 @@ let suite =
       test_swap_replay;
     Alcotest.test_case "EWB blob splice refused at swap-in" `Quick
       test_swap_splice;
+    Alcotest.test_case "host EGETKEY refused (sealed data stays sealed)" `Quick
+      test_host_egetkey_refused;
     Alcotest.test_case "serve: cross-tenant envelope probe" `Quick
       test_serve_cross_tenant_probe;
     Alcotest.test_case "serve: request replay" `Quick test_serve_request_replay;

@@ -320,26 +320,31 @@ let test_penclave_only_self_managed () =
 
 (* --- keys and attestation ---------------------------------------------------------------- *)
 
+(* EGETKEY is an enclave leaf: keys are asked for from inside an ECALL. *)
+let key_enclave p ~code_seed =
+  Urts.create ~kmod:p.Platform.kmod ~proc:p.Platform.proc ~rng:p.Platform.rng
+    ~signer:p.Platform.signer
+    ~config:{ (Urts.default_config Sgx_types.GU) with Urts.code_seed }
+    ~ecalls:
+      [
+        (1, fun (tenv : Tenv.t) _ -> tenv.Tenv.getkey Sgx_types.Seal_key_mrenclave);
+        (2, fun (tenv : Tenv.t) _ -> tenv.Tenv.getkey Sgx_types.Seal_key_mrsigner);
+      ]
+    ~ocalls:[]
+
 let test_egetkey_identity () =
-  let p, handle = simple_enclave () in
-  let m = p.Platform.monitor in
-  let enclave = Urts.enclave handle in
-  let k1 = Monitor.egetkey m enclave Sgx_types.Seal_key_mrenclave in
-  let k1' = Monitor.egetkey m enclave Sgx_types.Seal_key_mrenclave in
-  Alcotest.(check bool) "stable" true (Bytes.equal k1 k1');
-  let handle2 =
-    Urts.create ~kmod:p.Platform.kmod ~proc:p.Platform.proc ~rng:p.Platform.rng
-      ~signer:p.Platform.signer
-      ~config:{ (Urts.default_config Sgx_types.GU) with Urts.code_seed = "B" }
-      ~ecalls:[ (1, fun _ _ -> Bytes.empty) ]
-      ~ocalls:[]
-  in
-  let k2 = Monitor.egetkey m (Urts.enclave handle2) Sgx_types.Seal_key_mrenclave in
-  Alcotest.(check bool) "distinct per MRENCLAVE" false (Bytes.equal k1 k2);
+  let p = platform () in
+  let a = key_enclave p ~code_seed:"A" and b = key_enclave p ~code_seed:"B" in
+  let key handle id = Urts.ecall handle ~id ~direction:Edge.Out () in
+  let k1 = key a 1 in
+  Alcotest.(check bool) "stable" true (Bytes.equal k1 (key a 1));
+  Alcotest.(check bool) "distinct per MRENCLAVE" false (Bytes.equal k1 (key b 1));
   (* Same signer => same MRSIGNER seal key across different enclaves. *)
-  let s1 = Monitor.egetkey m enclave Sgx_types.Seal_key_mrsigner in
-  let s2 = Monitor.egetkey m (Urts.enclave handle2) Sgx_types.Seal_key_mrsigner in
-  Alcotest.(check bool) "mrsigner key shared" true (Bytes.equal s1 s2)
+  Alcotest.(check bool) "mrsigner key shared" true (Bytes.equal (key a 2) (key b 2));
+  expect_violation "host EGETKEY" (fun () ->
+      ignore (Monitor.egetkey p.Platform.monitor (Urts.enclave a) Sgx_types.Seal_key_mrenclave));
+  Urts.destroy a;
+  Urts.destroy b
 
 let test_report () =
   let p, handle = simple_enclave () in
@@ -500,17 +505,14 @@ let test_hypercall_abi () =
    with
   | Hypercall.Fault _ -> ()
   | _ -> Alcotest.fail "expected Fault for post-EINIT EADD");
-  (* EGETKEY through the ABI returns the same key as the typed call. *)
+  (* EGETKEY through the ABI from the host is refused like the typed
+     call: it is an enclave leaf. *)
   (match
      Hypercall.dispatch p.Platform.monitor
        (Hypercall.Egetkey { enclave; name = Sgx_types.Seal_key_mrenclave })
    with
-  | Hypercall.Key key ->
-      Alcotest.(check bool)
-        "key matches typed path" true
-        (Bytes.equal key
-           (Monitor.egetkey p.Platform.monitor enclave Sgx_types.Seal_key_mrenclave))
-  | _ -> Alcotest.fail "expected Key");
+  | Hypercall.Fault _ -> ()
+  | _ -> Alcotest.fail "expected Fault for host EGETKEY");
   Urts.destroy handle
 
 let test_isa_mapping () =
