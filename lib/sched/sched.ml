@@ -165,12 +165,22 @@ let earliest t pred =
 
 (* Steal from the richest queue (most waiting jobs; ties to the lowest
    core id), taking from the BACK — the job the victim would reach
-   last, so the victim's own order is disturbed least. *)
+   last, so the victim's own order is disturbed least.  A lone job is
+   stolen only when its own core's clock is more than the penalty past
+   the thief's: otherwise that core starts it no later than the thief
+   could, and the steal would only add the penalty. *)
 let steal t (thief : core) =
+  let stealable (core : core) =
+    match core.queue with
+    | [] -> false
+    | [ _ ] ->
+        Cycles.now core.clock > Cycles.now thief.clock + t.config.steal_penalty
+    | _ :: _ :: _ -> true
+  in
   let victim =
     Array.fold_left
       (fun acc (core : core) ->
-        if core.core_id = thief.core_id || core.queue = [] then acc
+        if core.core_id = thief.core_id || not (stealable core) then acc
         else
           match acc with
           | Some (v : core) when List.length v.queue >= List.length core.queue

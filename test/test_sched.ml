@@ -235,6 +235,34 @@ let test_slices_counted_once () =
     (Cycles.total_ticked () - ticked0);
   List.iter Urts.destroy handles
 
+(* A lone queued job is stolen only when its own core's clock is more
+   than the steal penalty past the thief's; otherwise that core starts it
+   no later than the thief could, and the steal would only add the
+   penalty. *)
+let test_lone_job_steal () =
+  let run ~steal_penalty =
+    let p = Platform.create ~seed:4250L () in
+    let handle = make_enclave p ~seed_name:"lone" ~burn:1_000 in
+    let sched =
+      Sched.create ~shared_clock:p.Platform.clock ~telemetry:(telemetry p)
+        { Sched.default_config with Sched.cores = 2; steal_penalty }
+    in
+    (* Core 1 runs one job and so moves ahead of the idle core 0. *)
+    Sched.submit sched ~core:1 ~urts:handle (requests ~tag:"first" 1);
+    ignore (Sched.run sched : Sched.stats);
+    let ahead = (Sched.stats sched).Sched.per_core.(1).Sched.cycles in
+    Sched.submit sched ~core:1 ~urts:handle (requests ~tag:"second" 1);
+    let stats = Sched.run sched in
+    Urts.destroy handle;
+    (ahead, stats.Sched.steals)
+  in
+  let ahead, steals = run ~steal_penalty:1_000_000 in
+  Alcotest.(check bool) "core 1 ahead by less than the penalty" true (ahead < 1_000_000);
+  Alcotest.(check int) "lone job left to its own core" 0 steals;
+  let ahead, steals = run ~steal_penalty:100 in
+  Alcotest.(check bool) "core 1 ahead by more than the penalty" true (ahead > 100);
+  Alcotest.(check int) "lone job stolen by the idle core" 1 steals
+
 let test_batched_scheduler_run () =
   let unbatched = run_workload { small_quantum with Sched.quantum = 400_000 } in
   let batched =
@@ -360,6 +388,8 @@ let suite =
       test_batched_scheduler_run;
     Alcotest.test_case "scheduled slices counted once" `Quick
       test_slices_counted_once;
+    Alcotest.test_case "lone job stolen only past the penalty" `Quick
+      test_lone_job_steal;
     Alcotest.test_case "stats keep running totals across rounds" `Quick
       test_stats_running_totals;
     Alcotest.test_case "2-enclave/2-core chaos with invariant checks" `Quick
