@@ -215,7 +215,6 @@ type summary = {
   rps_8core : float;  (* 4-tenant arena path, from Bench_serve *)
   hot_runs : hot_run list;
   hot_rps_8core : float;
-  hot_crit_rps_8core : float;
   hot_ratio : float;  (* hot single-tenant rate / multi-tenant rate *)
   hot_speedup_2core : float;
 }
@@ -230,8 +229,6 @@ let summarize () =
     rps_8core;
     hot_runs;
     hot_rps_8core = hot_rps 8;
-    hot_crit_rps_8core =
-      (List.find (fun r -> r.h_cores = 8) hot_runs).h_crit_rps;
     hot_ratio = hot_rps 8 /. rps_8core;
     hot_speedup_2core = hot_rps 2 /. hot_rps 1;
   }

@@ -158,6 +158,8 @@ type summary = {
   crit_4x8 : float;  (* the 4-node rate over the longest critical path *)
   scaling_1_2 : float;
   scaling_2_4 : float;
+  crit_scaling_1_2 : float;  (* the same ratios over critical-path rates *)
+  crit_scaling_2_4 : float;
   p99_upgrade : int;
   pause : int;
   upgrade_migrations : int;
@@ -169,13 +171,16 @@ let summarize () =
   in
   let rps_by_nodes = List.map (fun (n, (r, _)) -> (n, r)) rates in
   let rate n = List.assoc n rps_by_nodes in
+  let crit n = snd (List.assoc n rates) in
   let p99_upgrade, pause, upgrade_migrations = measure_upgrade ~seed:1002L in
   {
     rps_by_nodes;
     rps_4x8 = rate 4;
-    crit_4x8 = snd (List.assoc 4 rates);
+    crit_4x8 = crit 4;
     scaling_1_2 = rate 2 /. rate 1;
     scaling_2_4 = rate 4 /. rate 2;
+    crit_scaling_1_2 = crit 2 /. crit 1;
+    crit_scaling_2_4 = crit 4 /. crit 2;
     p99_upgrade;
     pause;
     upgrade_migrations;

@@ -20,9 +20,17 @@ let take r n field =
   r.pos <- r.pos + n;
   Bytes.sub r.buf (r.pos - n) n
 
+let skip r n field =
+  need r n field;
+  r.pos <- r.pos + n
+
 let literal r s field =
-  if Bytes.unsafe_to_string (take r (String.length s) field) <> s then
-    fail field "mismatch"
+  let n = String.length s in
+  need r n field;
+  for i = 0 to n - 1 do
+    if Bytes.get r.buf (r.pos + i) <> s.[i] then fail field "mismatch"
+  done;
+  r.pos <- r.pos + n
 
 let uint8 r field = Bytes.get_uint8 (take r 1 field) 0
 

@@ -16,6 +16,11 @@ val fail : string -> string -> 'a
 (** [fail field reason]; only inside a reader function. *)
 
 val take : reader -> int -> string -> bytes
+
+val skip : reader -> int -> string -> unit
+(** Step over [n] bytes the reader has no use for (the unused tail of a
+    fixed-stride slot), with the same bound as {!take}. *)
+
 val literal : reader -> string -> string -> unit
 val uint8 : reader -> string -> int
 

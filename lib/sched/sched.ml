@@ -221,8 +221,9 @@ let run_requests t (job : job) =
   match job.work with
   | Ring ring -> (
       (* The whole ring is one switchless dispatch unit; the job drains
-         in a single step either way. *)
-      let count = Urts.ring_staged ring in
+         in a single step either way.  Its requests are the sealed slots:
+         clear calls ride along uncounted. *)
+      let count = Urts.ring_requests ring in
       job.work <- Calls [];
       let base_index = job.next_index in
       job.next_index <- base_index + count;

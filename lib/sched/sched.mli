@@ -109,8 +109,9 @@ val submit_ring :
     as a job: the ring dispatches as a single switchless unit on its
     core's next slice ({!Urts.ring_dispatch}), all-or-nothing under
     [drop_on_error].  The scheduler does not read reply bytes out of the
-    ring — [on_result] reports [Ok Bytes.empty] per served slot (a
-    shared placeholder, no per-request allocation) and the submitter
+    ring — [on_result] reports [Ok Bytes.empty] per served request (a
+    sealed slot, {!Urts.ring_requests}; clear calls ride along
+    uncounted) from a shared placeholder, and the submitter
     reads replies in place via {!Urts.ring_read_replies} /
     {!Urts.ring_reply_slot} after {!run}.  The submitter publishes the
     staged image ({!Urts.ring_publish}) before [run]. *)

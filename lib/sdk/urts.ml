@@ -68,6 +68,7 @@ type t = {
           monitor-side (the thread EEXITed) but owed an ORET re-entry, so
           no other entry may take them. *)
   mutable timer : timer option;
+  mutable tenv : Tenv.t option;  (** built at the first entry, then reused *)
 }
 
 let monitor t = Kmod.monitor t.kmod
@@ -317,6 +318,7 @@ let create ~kmod ~proc ~rng ~signer ~config ~ecalls ~ocalls =
       active_tcs = None;
       reserved_tcs = Hashtbl.create 4;
       timer = None;
+      tenv = None;
     }
   in
   List.iter (fun (id, h) -> Hashtbl.replace t.ecalls id h) ecalls;
@@ -693,6 +695,16 @@ and poll_timer t =
         timer.deadline <- Cycles.now (clock t) + timer.quantum
       end
 
+(* The trusted environment is a record of closures over [t] alone, so one
+   serves every entry of the enclave. *)
+let tenv t =
+  match t.tenv with
+  | Some tenv -> tenv
+  | None ->
+      let tenv = make_tenv t in
+      t.tenv <- Some tenv;
+      tenv
+
 let arm_timer t ~quantum ?on_preempt () =
   if quantum <= 0 then fail "arm_timer: quantum must be positive";
   t.timer <- Some { quantum; deadline = Cycles.now (clock t) + quantum; on_preempt }
@@ -744,7 +756,7 @@ let run_ecall t ~id ~data ~direction ~use_ms =
   let tcs = take_tcs t in
   Monitor.eenter m t.enclave ~tcs ~return_va:aep;
   t.active_tcs <- Some tcs;
-  let tenv = make_tenv t in
+  let tenv = tenv t in
   (* Trusted-side leg: copy the staged input into enclave memory (the
      copy SGX-style direct access performs as well). *)
   let input =
@@ -868,7 +880,7 @@ let run_ecall_batch t reqs =
     let tcs = take_tcs t in
     Monitor.eenter m t.enclave ~tcs ~return_va:aep;
     t.active_tcs <- Some tcs;
-    let tenv = make_tenv t in
+    let tenv = tenv t in
     let cleanup_exit () =
       (match Monitor.current m with
       | Some running when running.Enclave.id = t.enclave.Enclave.id ->
@@ -910,49 +922,135 @@ let run_ecall_batch t reqs =
 let ecall_batch t ~reqs () =
   Fault.with_retries ~backoff:(backoff t) (fun () -> run_ecall_batch t reqs)
 
-(* --- arena ring: sharded, allocation-free switchless ECALL dispatch --------- *)
+(* --- arena ring: sharded switchless dispatch of an attested channel --------- *)
 
 (* A fixed-stride slot ring per (tenant, shard) in the pinned marshalling
-   buffer.  Unlike the variable-length [ecall_batch] frame, every slot is
-   [16 + slot_bytes] wide, so a caller can seal and decrypt AEAD payloads
-   *in place* — the ring slot is the envelope — and the staging images
-   ([rbuf]/[pbuf]) are recycled across flushes: the steady-state path
-   allocates nothing per request on the staging side.
+   buffer, carrying a tenant's attested-channel traffic in ciphertext
+   end to end.  The plane stages each admitted envelope's ciphertext
+   behind a slot header naming its session, sequence number and nonce;
+   the persistent in-enclave worker opens every slot into enclave
+   memory, runs the handler, and seals the reply in place with its tag
+   beside it.  Only ciphertext and tags ever reach the marshalling
+   buffer.  The channel crypto is the tenant's own trusted code
+   ([channel]): it holds the enclave's session keys and charges the AEAD
+   cost, which therefore ticks inside the worker's scheduled slice.
 
-   The dispatch is switchless: the plane publishes the staged image and a
-   persistent in-enclave worker picks it up — no TCS take, no
-   EENTER/EEXIT, no SDK soft path; the enclave pays one post fence plus
-   the fixed-stride per-slot dispatch ([Cost_model.ring_slot_dispatch]).
-   Two restrictions follow from having no entered TCS: ring handlers must
-   not OCALL (they get the typed "OCALL outside an ECALL" refusal), and
-   the AEX preemption timer never fires inside a ring dispatch.
+   The dispatch is switchless: the plane publishes the staged image and
+   the worker picks it up — no TCS take, no EENTER/EEXIT, no SDK soft
+   path; the enclave pays one post fence plus the fixed-stride per-slot
+   dispatch ([Cost_model.ring_slot_dispatch]).  Two restrictions follow
+   from having no entered TCS: ring handlers must not OCALL (they get
+   the typed "OCALL outside an ECALL" refusal), and the AEX preemption
+   timer never fires inside a ring dispatch.
 
-   Layout: the ECALL-input region [0, ms_out_region) splits into [shards]
-   equal request segments and the output region [ms_out_region,
+   Layout: the ECALL-input region [0, ms_out_region) splits into
+   [shards] equal request segments and the output region [ms_out_region,
    ms_ocall_region) into [shards] reply segments; shard [i] owns segment
-   [i] of each.  A segment holds [count:8][slot_0][slot_1]... with
-   slot_i = [id:8][len:8][payload:slot_bytes] at [8 + i*(16+slot_bytes)],
-   replies echoing the same framing. *)
+   [i] of each.  A segment holds [count:8][slot_0][slot_1]... at stride
+   [slot_header_bytes + slot_bytes]:
+     request  [ecall:8][len:8][session:8][seq:8][nonce:12][clear:1][0:3][payload]
+     reply    [ecall:8][len:8][tag:32][payload]
+   A sealed slot's payloads are channel ciphertext.  A clear slot
+   ([clear] = 1) is a plain switchless call whose argument and reply
+   travel in the clear, with no session and a zero tag: the channel
+   uses it to hand the enclave its session keys.  It gives the host
+   nothing an ordinary ECALL does not.
+   The staging images ([rbuf]/[pbuf]) are recycled across flushes and
+   grow by doubling from [initial_slots] to the deepest flush the ring
+   has staged. *)
+type channel = {
+  open_slot : nth:int -> session:int -> nonce:bytes -> bytes -> unit;
+  seal_slot : nth:int -> session:int -> seq:int -> bytes -> bytes -> off:int -> unit;
+}
+
+let slot_header_bytes = 48
+let tag_bytes = 32
+let initial_slots = 8
+
+type slot_header = {
+  mutable h_ecall : int;
+  mutable h_len : int;
+  mutable h_session : int;
+  mutable h_seq : int;
+  mutable h_nonce : bytes;
+  mutable h_clear : bool;
+}
+
+let no_nonce = Bytes.make 12 '\000'
+
+let write_slot_header b ~off ~ecall ~len ~session ~seq ~nonce ~clear =
+  Bytes.set_int64_le b off (Int64.of_int ecall);
+  Bytes.set_int64_le b (off + 8) (Int64.of_int len);
+  Bytes.set_int64_le b (off + 16) (Int64.of_int session);
+  Bytes.set_int64_le b (off + 24) (Int64.of_int seq);
+  Bytes.blit nonce 0 b (off + 32) 12;
+  Bytes.fill b (off + 44) 4 '\000';
+  if clear then Bytes.set b (off + 44) '\001'
+
+let encode_slot_header h =
+  let b = Bytes.create slot_header_bytes in
+  write_slot_header b ~off:0 ~ecall:h.h_ecall ~len:h.h_len ~session:h.h_session
+    ~seq:h.h_seq ~nonce:h.h_nonce ~clear:h.h_clear;
+  b
+
+(* The worker's reader for one request header, into a reused scratch
+   record: the header is host-written, so every word is bounded. *)
+let read_slot_header ~slot_bytes r h =
+  h.h_ecall <- Codec.int64_le r "ecall id";
+  h.h_len <- Codec.len64_le ~max:slot_bytes r "length";
+  h.h_session <- Codec.len64_le ~max:max_int r "session";
+  h.h_seq <- Codec.len64_le ~max:max_int r "sequence number";
+  h.h_nonce <- Codec.take r 12 "nonce";
+  h.h_clear <-
+    (match Codec.uint8 r "clear flag" with
+    | 0 -> false
+    | 1 -> true
+    | _ -> Codec.fail "clear flag" "neither 0 nor 1");
+  Codec.literal r "\000\000\000" "padding"
+
+let fresh_header () =
+  {
+    h_ecall = 0;
+    h_len = 0;
+    h_session = 0;
+    h_seq = 0;
+    h_nonce = Bytes.empty;
+    h_clear = false;
+  }
+
+let decode_slot_header ~slot_bytes =
+  Codec.decode "ring slot header" (fun r ->
+      let h = fresh_header () in
+      read_slot_header ~slot_bytes r h;
+      h)
+
 type ring = {
   rt : t;
+  channel : channel;
   shard : int;
   req_off : int;  (* segment base in the input region *)
   rep_off : int;  (* segment base in the output region *)
   slots : int;
   slot_bytes : int;
-  stride : int;  (* 16 + slot_bytes *)
-  rbuf : bytes;  (* reusable staged-request image, header included *)
-  pbuf : bytes;  (* reusable reply image, same framing *)
+  stride : int;  (* slot_header_bytes + slot_bytes *)
+  mutable rbuf : bytes;  (* reusable staged-request image, header included *)
+  mutable pbuf : bytes;  (* reusable reply image, same stride *)
   mutable staged : int;
+  mutable calls : int;  (* clear slots among the staged *)
+  hdr : slot_header;  (* the worker's scratch for the slot it reads *)
 }
 
 let ring_staged r = r.staged
+let ring_requests r = r.staged - r.calls
 let ring_capacity r = r.slots
 let ring_buf r = r.rbuf
 let ring_reply_buf r = r.pbuf
-let ring_reset r = r.staged <- 0
 
-let create_ring t ~shard ~shards ~slots ~slot_bytes =
+let ring_reset r =
+  r.staged <- 0;
+  r.calls <- 0
+
+let create_ring t ~shard ~shards ~slots ~slot_bytes channel =
   if shards <= 0 then fail "create_ring: shards (%d) must be positive" shards;
   if shard < 0 || shard >= shards then
     fail "create_ring: shard %d outside [0, %d)" shard shards;
@@ -960,7 +1058,7 @@ let create_ring t ~shard ~shards ~slots ~slot_bytes =
   if slot_bytes <= 0 || slot_bytes land 7 <> 0 then
     fail "create_ring: slot_bytes (%d) must be a positive multiple of 8"
       slot_bytes;
-  let stride = 16 + slot_bytes in
+  let stride = slot_header_bytes + slot_bytes in
   let need = 8 + (slots * stride) in
   let in_seg = (t.ms_out_region / shards) land lnot 7 in
   let out_seg = ((t.ms_ocall_region - t.ms_out_region) / shards) land lnot 7 in
@@ -968,32 +1066,51 @@ let create_ring t ~shard ~shards ~slots ~slot_bytes =
     fail
       "create_ring: %d slots x %d B need %d B per segment, but %d shards \
        leave %d B (in) / %d B (out) — raise ms_bytes"
-      slots slot_bytes need shards in_seg out_seg;
+      slots stride need shards in_seg out_seg;
+  let image = 8 + (min slots initial_slots * stride) in
   {
     rt = t;
+    channel;
     shard;
     req_off = shard * in_seg;
     rep_off = t.ms_out_region + (shard * out_seg);
     slots;
     slot_bytes;
     stride;
-    rbuf = Bytes.create need;
-    pbuf = Bytes.create need;
+    rbuf = Bytes.make image '\000';
+    pbuf = Bytes.make image '\000';
     staged = 0;
+    calls = 0;
+    hdr = fresh_header ();
   }
 
-(* Staging writes the slot header and hands the caller the payload offset
-   into [ring_buf]: the caller (e.g. [Authenc.decrypt_into]) produces the
-   payload directly in the slot. *)
-let ring_stage r ~ecall_id ~len =
+(* Staging writes the slot header and the payload into [ring_buf],
+   doubling the images (keeping what is staged) when the next slot does
+   not fit. *)
+let stage_slot r ~ecall_id ~session ~seq ~nonce ~clear ~src ~src_off ~len =
   if len < 0 || len > r.slot_bytes then
     fail "ring_stage: %d bytes exceed the %d-byte slot" len r.slot_bytes;
+  if Bytes.length nonce <> 12 then fail "ring_stage: nonce must be 12 bytes";
   if r.staged >= r.slots then fail "ring_stage: ring full (%d slots)" r.slots;
   let off = 8 + (r.staged * r.stride) in
-  Bytes.set_int64_le r.rbuf off (Int64.of_int ecall_id);
-  Bytes.set_int64_le r.rbuf (off + 8) (Int64.of_int len);
-  r.staged <- r.staged + 1;
-  off + 16
+  if off + r.stride > Bytes.length r.rbuf then begin
+    let image = 8 + (min r.slots (2 * r.staged) * r.stride) in
+    let grown = Bytes.make image '\000' in
+    Bytes.blit r.rbuf 0 grown 0 off;
+    r.rbuf <- grown;
+    r.pbuf <- Bytes.make image '\000'
+  end;
+  write_slot_header r.rbuf ~off ~ecall:ecall_id ~len ~session ~seq ~nonce ~clear;
+  Bytes.blit src src_off r.rbuf (off + slot_header_bytes) len;
+  r.staged <- r.staged + 1
+
+let ring_stage r ~ecall_id ~session ~seq ~nonce ~src ~src_off ~len =
+  stage_slot r ~ecall_id ~session ~seq ~nonce ~clear:false ~src ~src_off ~len
+
+let ring_call r ~ecall_id data =
+  stage_slot r ~ecall_id ~session:0 ~seq:0 ~nonce:no_nonce ~clear:true ~src:data
+    ~src_off:0 ~len:(Bytes.length data);
+  r.calls <- r.calls + 1
 
 let ring_reply_slot r ~slot =
   if slot < 0 || slot >= r.staged then
@@ -1002,7 +1119,12 @@ let ring_reply_slot r ~slot =
   let len = Int64.to_int (Bytes.get_int64_le r.pbuf (off + 8)) in
   if len < 0 || len > r.slot_bytes then
     fail "ring reply slot %d has a corrupt length word (%d)" slot len;
-  (off + 16, len)
+  (off + slot_header_bytes, len)
+
+let ring_reply_tag r ~slot =
+  if slot < 0 || slot >= r.staged then
+    fail "ring reply slot %d outside the %d staged" slot r.staged;
+  Bytes.sub r.pbuf (8 + (slot * r.stride) + 16) tag_bytes
 
 (* Untrusted half, request direction: the plane publishes the staged
    image into the shard's pinned request segment and pays the
@@ -1033,13 +1155,15 @@ let touch_segment t ~off ~len =
     | None -> fail "ring segment page 0x%x not resident" vpn
   done
 
-(* Trusted half: the persistent in-enclave worker.  It reads the slots
-   where they lie (User_check discipline: the segment's pages are
-   translated through the enclave's mapping — charged — but the payload
-   is not copied into enclave memory first) and frames replies at the
-   same stride in the shard's reply segment, storing the image through
-   its own mapping of the pinned region.  The only per-slot byte
-   movement charged is each handler's reply landing in its slot. *)
+(* Trusted half: the persistent in-enclave worker.  One bounded reader
+   walks the published image (the count, then every slot's header,
+   payload and unused tail): each payload is copied into enclave memory
+   and handed to its handler — a sealed one opened there by the channel
+   first, its reply sealed by the channel into the slot's place in the
+   reply image; a clear one's reply stored as it is.  The worker stores
+   the reply image through its own mapping of the pinned region.  A
+   corrupt header or a session the enclave holds no key for fails the
+   whole ring with [Enclave_error]. *)
 let run_ring_dispatch r =
   let t = r.rt in
   let m = monitor t in
@@ -1055,32 +1179,49 @@ let run_ring_dispatch r =
     Cycles.tick (clock t)
       (c.Cost_model.switchless_post + (k * c.Cost_model.ring_slot_dispatch));
     touch_segment t ~off:r.req_off ~len;
-    let tenv = make_tenv t in
+    let tenv = tenv t in
+    let h = r.hdr in
+    let serve rd =
+      if Codec.len64_le ~max:r.slots rd "slot count" <> k then
+        Codec.fail "slot count" "differs from the staged count";
+      let nth = ref 0 in
+      for slot = 0 to k - 1 do
+        read_slot_header ~slot_bytes:r.slot_bytes rd h;
+        let body = Codec.take rd h.h_len "payload" in
+        Codec.skip rd (r.slot_bytes - h.h_len) "slot tail";
+        if not h.h_clear then
+          r.channel.open_slot ~nth:!nth ~session:h.h_session ~nonce:h.h_nonce
+            body;
+        let reply = (lookup_ecall t h.h_ecall) tenv body in
+        let rlen = Bytes.length reply in
+        if rlen > r.slot_bytes then
+          fail
+            "ring_dispatch: ECALL %d reply (%d bytes) exceeds the %d-byte slot"
+            h.h_ecall rlen r.slot_bytes;
+        Cycles.tick (clock t) (Cost_model.copy_cost c rlen);
+        let off = 8 + (slot * r.stride) in
+        Bytes.set_int64_le r.pbuf off (Int64.of_int h.h_ecall);
+        Bytes.set_int64_le r.pbuf (off + 8) (Int64.of_int rlen);
+        if h.h_clear then begin
+          Bytes.fill r.pbuf (off + 16) tag_bytes '\000';
+          Bytes.blit reply 0 r.pbuf (off + slot_header_bytes) rlen
+        end
+        else begin
+          r.channel.seal_slot ~nth:!nth ~session:h.h_session ~seq:h.h_seq reply
+            r.pbuf ~off:(off + 16);
+          incr nth
+        end
+      done;
+      Codec.skip rd (Bytes.length r.rbuf - len) "unused capacity"
+    in
     (* The handlers run on the persistent in-enclave worker: enclave
        translation is current (so they can reach the demand-paged heap —
        a LibOS-backed service pages its VFS through it) but no TCS is
        taken and no EENTER is paid. *)
     Monitor.with_worker m t.enclave (fun () ->
-        for slot = 0 to k - 1 do
-          let off = 8 + (slot * r.stride) in
-          let id = Int64.to_int (Bytes.get_int64_le r.rbuf off) in
-          let blen = Int64.to_int (Bytes.get_int64_le r.rbuf (off + 8)) in
-          if blen < 0 || blen > r.slot_bytes then
-            fail "ring_dispatch: slot %d has a corrupt length word" slot;
-          let handler = lookup_ecall t id in
-          let body = Bytes.sub r.rbuf (off + 16) blen in
-          let reply = handler tenv body in
-          let rlen = Bytes.length reply in
-          if rlen > r.slot_bytes then
-            fail
-              "ring_dispatch: ECALL %d reply (%d bytes) exceeds the %d-byte \
-               slot"
-              id rlen r.slot_bytes;
-          Cycles.tick (clock t) (Cost_model.copy_cost c rlen);
-          Bytes.set_int64_le r.pbuf off (Int64.of_int id);
-          Bytes.set_int64_le r.pbuf (off + 8) (Int64.of_int rlen);
-          Bytes.blit reply 0 r.pbuf (off + 16) rlen
-        done);
+        match Codec.decode "ring segment" serve r.rbuf with
+        | Ok () -> ()
+        | Error msg -> fail "ring_dispatch: %s" msg);
     Bytes.set_int64_le r.pbuf 0 (Int64.of_int k);
     touch_segment t ~off:r.rep_off ~len;
     ms_slice_nofault `Write t ~off:r.rep_off r.pbuf ~pos:0 ~len

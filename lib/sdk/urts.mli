@@ -71,33 +71,95 @@ val ecall_batch : t -> reqs:(int * bytes) list -> unit -> bytes list
     @raise Enclave_error on unknown id, oversized batch, or ring frames
     exceeding their marshalling region. *)
 
-(** {2 Arena ring: sharded, allocation-free switchless ECALL dispatch}
+(** {2 Arena ring: sharded switchless dispatch of an attested channel}
 
     A fixed-stride slot ring per (tenant, shard) in the pinned
-    marshalling buffer.  Every slot is [16 + slot_bytes] wide, so callers
-    seal/decrypt AEAD payloads in place — the ring slot {e is} the
-    envelope — and the staging images are recycled across flushes.  The
-    dispatch is switchless: no TCS take, no EENTER/EEXIT, no SDK soft
-    path; one post fence plus [ring_slot_dispatch] cycles per slot.
-    Consequences: ring handlers must not OCALL (typed "OCALL outside an
-    ECALL" refusal) and the AEX preemption timer never fires inside a
-    ring dispatch. *)
+    marshalling buffer that carries channel traffic in ciphertext end to
+    end.  The caller stages each request's ciphertext behind a slot
+    header naming its session, sequence number and nonce; the persistent
+    in-enclave worker opens every slot into enclave memory through the
+    ring's {!channel}, runs the handler, and has the channel seal the
+    reply in place with its tag beside it.  The marshalling buffer and
+    the staging images only ever hold ciphertext and tags.  The images
+    are recycled across flushes and grow by doubling from 8 slots to the
+    deepest flush staged.  The dispatch is switchless: no TCS take, no
+    EENTER/EEXIT, no SDK soft path; one post fence plus
+    [ring_slot_dispatch] cycles per slot.  Consequences: ring handlers
+    must not OCALL (typed "OCALL outside an ECALL" refusal) and the AEX
+    preemption timer never fires inside a ring dispatch. *)
+
+type channel = {
+  open_slot : nth:int -> session:int -> nonce:bytes -> bytes -> unit;
+      (** Decrypt, in place, the enclave's copy of the dispatch's [nth]
+          sealed slot's ciphertext under [session]'s key. *)
+  seal_slot :
+    nth:int -> session:int -> seq:int -> bytes -> bytes -> off:int -> unit;
+      (** [seal_slot ~nth ~session ~seq reply buf ~off] encrypts [reply]
+          to [buf] at [off + 32] and writes its 32-byte tag at [off]. *)
+}
+(** The tenant's trusted channel code, run by the worker inside the
+    enclave around the handler of every sealed slot.  It owns the
+    enclave's session keys; for a session it holds no key for it raises
+    {!Enclave_error}, which fails the ring. *)
+
+type slot_header = {
+  mutable h_ecall : int;
+  mutable h_len : int;  (** ciphertext bytes, at most [slot_bytes] *)
+  mutable h_session : int;
+  mutable h_seq : int;
+  mutable h_nonce : bytes;  (** 12 bytes *)
+  mutable h_clear : bool;
+      (** a plain switchless call: payload and reply in the clear *)
+}
+(** A request slot's header: 48 bytes,
+    [[ecall:8][len:8][session:8][seq:8][nonce:12][clear:1][0:3]],
+    little-endian words.  Mutable because the worker reads every slot
+    into one scratch record. *)
+
+val slot_header_bytes : int
+(** 48: a slot's stride is this plus its payload capacity. *)
+
+val encode_slot_header : slot_header -> bytes
+
+val decode_slot_header :
+  slot_bytes:int -> bytes -> (slot_header, string) result
+(** The worker's header reader, through {!Hyperenclave_hw.Codec}: total,
+    and canonical (non-negative session and sequence words, a length of
+    at most [slot_bytes], a clear flag of 0 or 1, zero padding). *)
 
 type ring
 
 val create_ring :
-  t -> shard:int -> shards:int -> slots:int -> slot_bytes:int -> ring
+  t -> shard:int -> shards:int -> slots:int -> slot_bytes:int -> channel -> ring
 (** Carve shard [shard] of [shards] equal segments out of the input and
-    output marshalling regions and build its reusable staging images.
+    output marshalling regions and build 8-slot staging images.
     [slot_bytes] must be a positive multiple of 8.
-    @raise Enclave_error when [slots * (16 + slot_bytes) + 8] exceeds the
+    @raise Enclave_error when [slots * (48 + slot_bytes) + 8] exceeds the
     per-shard segment — the fix is a larger [ms_bytes]. *)
 
-val ring_stage : ring -> ecall_id:int -> len:int -> int
-(** Claim the next slot for a [len]-byte payload of ECALL [ecall_id] and
-    return the payload's byte offset into {!ring_buf}: the caller writes
-    (or decrypts) the payload directly there.
-    @raise Enclave_error when the ring is full or [len > slot_bytes]. *)
+val ring_stage :
+  ring ->
+  ecall_id:int ->
+  session:int ->
+  seq:int ->
+  nonce:bytes ->
+  src:bytes ->
+  src_off:int ->
+  len:int ->
+  unit
+(** Claim the next slot: write its header and copy the [len] ciphertext
+    bytes of [src] at [src_off] into {!ring_buf}, doubling the images
+    first if the slot does not fit.
+    @raise Enclave_error when the ring is full, [len > slot_bytes] or the
+    nonce is not 12 bytes. *)
+
+val ring_call : ring -> ecall_id:int -> bytes -> unit
+(** Claim the next slot for a clear switchless call of ECALL [ecall_id]:
+    the worker runs its handler on the argument as it is and stores the
+    reply in the clear.  The channel uses it to hand the enclave session
+    keys ahead of the sealed slots that need them.
+    @raise Enclave_error when the ring is full or the argument exceeds
+    [slot_bytes]. *)
 
 val ring_publish : ring -> unit
 (** Untrusted request half: publish the staged image into the shard's
@@ -105,10 +167,13 @@ val ring_publish : ring -> unit
     marshalling-in rate) on the caller's clock. *)
 
 val ring_dispatch : ring -> unit
-(** Trusted half: the persistent in-enclave worker serves every staged
-    slot in order, framing replies at the same stride in the shard's
-    reply segment.  Charged to the calling (core) clock.  Wrapped in the
-    standard transient-fault retry loop. *)
+(** Trusted half: the persistent in-enclave worker reads the published
+    image with one bounded reader and serves every slot in order,
+    sealing replies at the same stride in the shard's reply segment.
+    Charged to the calling (core) clock.  Wrapped in the standard
+    transient-fault retry loop.
+    @raise Enclave_error on a corrupt image, an unknown ECALL, a session
+    the channel holds no key for, or an oversized reply. *)
 
 val ring_read_replies : ring -> unit
 (** Untrusted reply half: pull the reply image back into
@@ -119,15 +184,25 @@ val ring_read_replies : ring -> unit
     count. *)
 
 val ring_reply_slot : ring -> slot:int -> int * int
-(** [(payload_offset, length)] of a served slot's reply inside
-    {!ring_reply_buf}; sealing in place reads and writes there.
+(** [(offset, length)] of a served slot's reply ciphertext inside
+    {!ring_reply_buf}.
     @raise Enclave_error on an out-of-range slot or corrupt length. *)
 
+val ring_reply_tag : ring -> slot:int -> bytes
+(** A copy of a served slot's 32-byte reply tag.
+    @raise Enclave_error on an out-of-range slot. *)
+
 val ring_staged : ring -> int
+(** Slots staged, clear calls included. *)
+
+val ring_requests : ring -> int
+(** Sealed slots staged: the requests a dispatch serves. *)
+
 val ring_capacity : ring -> int
 
 val ring_buf : ring -> bytes
-(** The reusable staged-request image (header + slots). *)
+(** The staged-request image (count word + slots), sized to the deepest
+    flush staged so far. *)
 
 val ring_reply_buf : ring -> bytes
 (** The reusable reply image, valid after {!ring_read_replies}. *)

@@ -207,12 +207,21 @@ type tenant = {
       (* set by [retire_tenant] at migration cutover: new handshakes and
          resumes answer with a typed forward to the destination node *)
   stage : stage;
+  channel : Urts.channel;
+      (* the enclave's side of every session: opens and seals ring slots
+         with the keys the reserved key ECALL installed *)
+  mutable stale_keys : int list;
+      (* closed sessions whose keys the enclave still holds: dropped by
+         the key calls of the tenant's next flush, or at retire *)
+  mutable key_flush : (session list * int list) option;
+      (* key calls staged this flush: the sessions they install and the
+         drops they left queued, applied once one of the rings ran *)
   rings : Urts.ring option array;  (* per shard, built on first use *)
   ring_err : string option array;  (* per-shard failure, one flush *)
   ring_gen : int array;  (* last flush generation that used the shard *)
 }
 
-type session = {
+and session = {
   s_id : int;
   tenant : tenant;
   key : bytes;
@@ -221,6 +230,9 @@ type session = {
          one-shot seal/unseal paths pay is amortized to zero here *)
   state_slot : int;
   mutable recv_seq : int;
+  mutable installed : bool;
+      (* the enclave holds this session's key: installed at the
+         session's first flush on this node, dropped on close/retire *)
   mutable s_pages : int;
       (* high-water EDMM page count: what a migration must carry so the
          destination can rebuild the session's committed state *)
@@ -269,6 +281,8 @@ type t = {
   mutable destroyed : bool;
   (* --- dispatch arenas --- *)
   shards : int;  (* ring shards per tenant = scheduler cores *)
+  key_slots : int;
+      (* ring slots kept for key calls: room for [max_queue] installs *)
   mutable rotor : int;
       (* plane-wide block rotor: each [shard_block]-long run of staged
          requests takes the next shard, so both many-tenant and single
@@ -283,6 +297,13 @@ type t = {
 }
 
 let fault_site = "serve.session"
+
+(* Bytes in an envelope AAD (see [render_aad]). *)
+let aad_bytes = 34
+
+(* Bytes one key install takes in a key ECALL request (see
+   [key_request]): session word, length word, 32-byte key. *)
+let key_install_bytes = 48
 
 module Node_config = struct
   type serve_config = config
@@ -312,8 +333,11 @@ let create_node ~platform (nc : Node_config.t) =
     invalid_arg "Serve.create_node: ticket_ttl must be positive";
   if config.shard_block <= 0 then
     invalid_arg "Serve.create_node: shard_block must be positive";
-  if config.slot_bytes <= 0 || config.slot_bytes mod 8 <> 0 then
-    invalid_arg "Serve.create_node: slot_bytes must be a positive multiple of 8";
+  if config.slot_bytes < key_install_bytes + 8 || config.slot_bytes mod 8 <> 0
+  then
+    invalid_arg
+      "Serve.create_node: slot_bytes must be a multiple of 8 of at least 56 (one \
+       key install)";
   let identity = nc.Node_config.identity in
   (* The identity must speak for THIS platform's monitor: a plane that
      advertised another node's hapk would hand out quotes its own
@@ -350,10 +374,13 @@ let create_node ~platform (nc : Node_config.t) =
     qe = None;
     destroyed = false;
     shards = max 1 config.sched.Sched.cores;
+    key_slots =
+      (let per_slot = (config.slot_bytes - 8) / key_install_bytes in
+       (config.max_queue + per_slot - 1) / per_slot);
     rotor = 0;
     flush_gen = 0;
     fault_msgs = Hashtbl.create 8;
-    aad_scratch = Bytes.create 34;
+    aad_scratch = Bytes.create aad_bytes;
     sid_scratch = Array.make 16 0;
     sid_count = 0;
     hw_staged = 0;
@@ -394,6 +421,26 @@ let charge_aead_setup t = Cycles.tick t.platform.Platform.clock aead_setup_cycle
 
 let charge_aead_bytes t ~bytes =
   Cycles.tick t.platform.Platform.clock (aead_byte_cycles * bytes)
+
+(* Envelope nonce: the direction byte, then the sequence number as a
+   little-endian word at byte 4. *)
+let set_envelope_nonce b ~dir ~seq =
+  Bytes.fill b 0 12 '\000';
+  Bytes.set b 0 dir;
+  Bytes.set_int64_le b 4 (Int64.of_int seq)
+
+let envelope_nonce ~dir ~seq =
+  let nonce = Bytes.create 12 in
+  set_envelope_nonce nonce ~dir ~seq;
+  nonce
+
+(* Envelope AAD: a 10-byte domain, then session id, sequence number and
+   a tag word (the ECALL id for requests, 0 for replies). *)
+let render_aad b ~domain ~session_id ~seq ~tag =
+  Bytes.blit_string domain 0 b 0 10;
+  Bytes.set_int64_le b 10 (Int64.of_int session_id);
+  Bytes.set_int64_le b 18 (Int64.of_int seq);
+  Bytes.set_int64_le b 26 (Int64.of_int tag)
 
 (* Bounded replay cache: burn a nonce, evicting oldest entries past the
    configured bound so session churn cannot grow the table without
@@ -485,7 +532,92 @@ let state_write_handler (env : Backend.env) input =
   env.Backend.heap_write ~off data;
   state_count (Bytes.length data)
 
-let reserved_ecalls = [ state_ecall; state_read_ecall; state_write_ecall ]
+(* The session-key ECALL fills and empties the enclave's key table with
+   a batch of operations: [count:8] then per operation
+   [session:8][n:8][key:n], where a 32-byte key installs (and prepares)
+   the session's key and an empty one drops it.  The reply is [n:8],
+   the number of keys the enclave then holds. *)
+let key_ecall = 0x5e58
+
+let key_request ops =
+  let buf = Buffer.create (8 + (48 * List.length ops)) in
+  Buffer.add_int64_le buf (Int64.of_int (List.length ops));
+  List.iter
+    (fun (session, key) ->
+      Buffer.add_int64_le buf (Int64.of_int session);
+      Codec.put_framed64 buf key)
+    ops;
+  Buffer.to_bytes buf
+
+let decode_key_request =
+  Codec.decode "session-key request" (fun r ->
+      List.init (state_word r "count") (fun _ ->
+          let session = state_word r "session" in
+          let key = Codec.framed64 r "key" in
+          if Bytes.length key <> 0 && Bytes.length key <> 32 then
+            Codec.fail "key" "neither 0 nor 32 bytes";
+          (session, key)))
+
+(* The tenant enclave's side of its sessions: the key table and the
+   scratch the ring worker renders reply nonces and AADs into.  Only
+   code running in the enclave — the key ECALL and the ring worker's
+   channel — touches it. *)
+type enclave_keys = {
+  keys : (int, Authenc.keys) Hashtbl.t;
+  rep_nonce : bytes;
+  rep_aad : bytes;
+}
+
+let key_handler (ek : enclave_keys) (_ : Backend.env) input =
+  List.iter
+    (fun (session, key) ->
+      if Bytes.length key = 0 then Hashtbl.remove ek.keys session
+      else Hashtbl.replace ek.keys session (Authenc.prepare key))
+    (request_or_fail (decode_key_request input));
+  state_count (Hashtbl.length ek.keys)
+
+(* The ring worker's channel code.  The AEAD costs what it cost on the
+   plane — the per-byte rate each way, one decrypt setup per ring
+   dispatch (one ring per tenant, shard and flush) and one seal setup
+   per [reply_ring] seals of a ring — but ticks inside the worker's
+   scheduled slice, so it lands on a core and on the tenant's quota. *)
+let ring_channel t (ek : enclave_keys) =
+  let reply_ring = max 1 (min Urts.max_batch t.config.sched.Sched.batch) in
+  let key session =
+    match Hashtbl.find ek.keys session with
+    | keys -> keys
+    | exception Not_found ->
+        raise
+          (Urts.Enclave_error
+             (Printf.sprintf "no key installed for session %d" session))
+  in
+  {
+    Urts.open_slot =
+      (fun ~nth ~session ~nonce body ->
+        let keys = key session in
+        let len = Bytes.length body in
+        if nth = 0 then charge_aead_setup t;
+        charge_aead_bytes t ~bytes:len;
+        Authenc.decrypt_into keys ~nonce ~src:body ~src_off:0 ~dst:body
+          ~dst_off:0 ~len);
+    seal_slot =
+      (fun ~nth ~session ~seq reply buf ~off ->
+        let keys = key session in
+        let len = Bytes.length reply in
+        if nth mod reply_ring = 0 then charge_aead_setup t;
+        charge_aead_bytes t ~bytes:len;
+        set_envelope_nonce ek.rep_nonce ~dir:'<' ~seq;
+        render_aad ek.rep_aad ~domain:"serve-rep:" ~session_id:session ~seq
+          ~tag:0;
+        let tag =
+          Authenc.seal_into keys ~aad:ek.rep_aad ~nonce:ek.rep_nonce ~src:reply
+            ~src_off:0 ~dst:buf ~dst_off:(off + 32) ~len ()
+        in
+        Bytes.blit tag 0 buf off 32);
+  }
+
+let reserved_ecalls =
+  [ state_ecall; state_read_ecall; state_write_ecall; key_ecall ]
 
 let add_tenant t ~name (bc : Backend.config) =
   if Hashtbl.mem t.tenants name then
@@ -495,8 +627,16 @@ let add_tenant t ~name (bc : Backend.config) =
       if List.mem_assoc id bc.Backend.handlers then
         invalid_arg
           (Printf.sprintf
-             "Serve.add_tenant: ECALL %#x is reserved for session state" id))
+             "Serve.add_tenant: ECALL %#x is reserved for the session channel"
+             id))
     reserved_ecalls;
+  let ek =
+    {
+      keys = Hashtbl.create 8;
+      rep_nonce = Bytes.create 12;
+      rep_aad = Bytes.create aad_bytes;
+    }
+  in
   let bc =
     {
       bc with
@@ -506,6 +646,7 @@ let add_tenant t ~name (bc : Backend.config) =
             (state_ecall, state_handler);
             (state_read_ecall, state_read_handler);
             (state_write_ecall, state_write_handler);
+            (key_ecall, key_handler ek);
           ];
     }
   in
@@ -520,7 +661,9 @@ let add_tenant t ~name (bc : Backend.config) =
     match bc.Backend.kind with
     | Backend.Hyperenclave _ ->
         let need =
-          8 + (t.config.max_queue * (16 + t.config.slot_bytes))
+          8
+          + (t.config.max_queue + t.key_slots)
+            * (Urts.slot_header_bytes + t.config.slot_bytes)
         in
         let ms_min =
           Addr.align_up ((4 * t.shards * need) + (4 * Addr.page_size))
@@ -546,6 +689,9 @@ let add_tenant t ~name (bc : Backend.config) =
       next_slot = 0;
       free_slots = [];
       t_migrated_to = None;
+      channel = ring_channel t ek;
+      stale_keys = [];
+      key_flush = None;
       stage =
         {
           sg_sids = [||];
@@ -680,6 +826,7 @@ let handshake t ~tenant hello =
                         keys = Authenc.prepare key;
                         state_slot;
                         recv_seq = 0;
+                        installed = false;
                         s_pages = 0;
                       };
                     Telemetry.incr t.telemetry "serve.handshake";
@@ -710,19 +857,10 @@ type reply = {
   r_result : (Authenc.sealed, reject) result;
 }
 
-let envelope_nonce ~dir ~seq =
-  let nonce = Bytes.make 12 '\000' in
-  Bytes.set nonce 0 dir;
-  Bytes.set_int64_le nonce 4 (Int64.of_int seq);
-  nonce
-
 let aad ~domain ~session_id ~seq ~tag =
-  let buf = Buffer.create 34 in
-  Buffer.add_string buf domain;
-  Buffer.add_int64_le buf (Int64.of_int session_id);
-  Buffer.add_int64_le buf (Int64.of_int seq);
-  Buffer.add_int64_le buf (Int64.of_int tag);
-  Buffer.to_bytes buf
+  let b = Bytes.create aad_bytes in
+  render_aad b ~domain ~session_id ~seq ~tag;
+  b
 
 let aad_req ~session_id ~seq ~ecall_id =
   aad ~domain:"serve-req:" ~session_id ~seq ~tag:ecall_id
@@ -730,14 +868,11 @@ let aad_req ~session_id ~seq ~ecall_id =
 let aad_rep ~session_id ~seq = aad ~domain:"serve-rep:" ~session_id ~seq ~tag:0
 
 (* Admission-path AAD check: render the expected AAD into the plane's
-   scratch buffer and compare — same layout as [aad], no allocation. *)
+   scratch buffer and compare — no allocation. *)
 let aad_matches t ~domain ~session_id ~seq ~tag candidate =
-  Bytes.length candidate = 34
+  Bytes.length candidate = aad_bytes
   && begin
-       Bytes.blit_string domain 0 t.aad_scratch 0 10;
-       Bytes.set_int64_le t.aad_scratch 10 (Int64.of_int session_id);
-       Bytes.set_int64_le t.aad_scratch 18 (Int64.of_int seq);
-       Bytes.set_int64_le t.aad_scratch 26 (Int64.of_int tag);
+       render_aad t.aad_scratch ~domain ~session_id ~seq ~tag;
        Bytes.equal t.aad_scratch candidate
      end
 
@@ -873,16 +1008,66 @@ let ring_for t (tn : tenant) urts shard =
   | None ->
       let r =
         Urts.create_ring urts ~shard ~shards:t.shards
-          ~slots:t.config.max_queue ~slot_bytes:t.config.slot_bytes
+          ~slots:(t.config.max_queue + t.key_slots)
+          ~slot_bytes:t.config.slot_bytes tn.channel
       in
       tn.rings.(shard) <- Some r;
       r
 
-(* The allocation-free dispatch path.  Staging, dispatch and reply bytes
-   all live in reusable arenas and the pinned marshalling rings; the only
-   per-request allocations left are the wire-facing reply envelopes.
-   Tenants without an SDK handle (the SGX model) take a synchronous
-   fallback batch instead of the rings. *)
+(* The enclave gets its copy of a session key from the reserved key
+   ECALL, run as clear switchless calls at the head of every ring a
+   tenant flushes into: installs for the sessions flushing on this node
+   for the first time (after a handshake, a resume or an import, whose
+   costs therefore stay as they were), then the drops closes have
+   queued, as many as fit in the rings' key allowance.  Every ring of
+   the flush carries the same calls, so none depends on the order the
+   cores run them in, and one ring that ran is enough for the enclave
+   to have applied them.  Returns the call arguments and the drops left
+   queued. *)
+let key_calls t (installs : session list) drops =
+  let room = t.config.slot_bytes - 8 in
+  let size (_, key) = 16 + Bytes.length key in
+  let rec chunk calls cur used = function
+    | [] -> (List.rev (if cur = [] then calls else List.rev cur :: calls), [])
+    | op :: rest when used + size op <= room ->
+        chunk calls (op :: cur) (used + size op) rest
+    | op :: rest when List.length calls + 1 < t.key_slots ->
+        chunk (List.rev cur :: calls) [ op ] (size op) rest
+    | left -> (List.rev (List.rev cur :: calls), left)
+  in
+  let calls, left =
+    chunk [] [] 0
+      (List.map (fun (s : session) -> (s.s_id, s.key)) installs
+      @ List.map (fun sid -> (sid, Bytes.empty)) drops)
+  in
+  (List.map key_request calls, List.map fst left)
+
+(* A retired tenant flushes no more rings here: its drops go through
+   the key ECALL at once. *)
+let drop_keys_now t (tn : tenant) =
+  if tn.stale_keys <> [] then
+    match
+      Backend.protected_call tn.backend ~id:key_ecall
+        ~data:(key_request (List.map (fun sid -> (sid, Bytes.empty)) tn.stale_keys))
+        ~direction:Edge.In_out ()
+    with
+    | Backend.Success _ -> tn.stale_keys <- []
+    | Backend.Typed_error _ | Backend.Violation _ ->
+        Telemetry.incr t.telemetry "serve.key_drop_failed"
+
+let forget_key (s : session) =
+  if s.installed then begin
+    s.installed <- false;
+    s.tenant.stale_keys <- s.s_id :: s.tenant.stale_keys
+  end
+
+(* The dispatch path.  Staging, dispatch and reply bytes all live in
+   reusable arenas and the pinned marshalling rings, and the plane does
+   no channel crypto on it: rings carry ciphertext in and ciphertext
+   plus tags out, and the enclave's ring worker opens and seals.  The
+   only per-request allocations left on the plane are the wire-facing
+   reply envelopes.  Tenants without an SDK handle (the SGX model) take
+   a synchronous fallback batch instead, decrypted and sealed here. *)
 let flush t =
   Telemetry.incr t.telemetry "serve.flush";
   t.flush_gen <- t.flush_gen + 1;
@@ -896,11 +1081,10 @@ let flush t =
   let flush_total = ref 0 in
   let rings_used = ref 0 in
   (* Pass 1 per tenant: walk the staged entries per session in (session,
-     seq) order.  Permanent
-     session faults surface as typed errors in the assembly pass; live
-     entries decrypt straight into their ring slot (the slot IS the
-     envelope's plaintext cell) or, for backends without an SDK handle,
-     into the synchronous fallback batch. *)
+     seq) order.  Injected session faults surface as typed errors in the
+     assembly pass; live entries are staged as ciphertext into their
+     ring slot or, for backends without an SDK handle, decrypted into
+     the synchronous fallback batch. *)
   List.iter
     (fun tn ->
       let st = tn.stage in
@@ -908,11 +1092,12 @@ let flush t =
         Array.fill tn.ring_err 0 t.shards None;
         collect_sids t st;
         let urts_opt = tn.backend.Backend.urts in
-        let fb = ref [] in
-        (* rev (entry index, ecall, plaintext) for the fallback batch *)
+        (* Session faults first: a faulted session is not staged, and a
+           staged one the enclave holds no key for is installed by the
+           key calls at the head of its rings. *)
+        let installs = ref [] in
         for k = 0 to t.sid_count - 1 do
           let sid = t.sid_scratch.(k) in
-          let s = Hashtbl.find t.sessions sid in
           match
             Fault.with_retries ~backoff:(backoff t) (fun () ->
                 Fault.point fault_site)
@@ -926,45 +1111,62 @@ let flush t =
                 end
               done
           | () ->
-              let stamp = ref 0 in
-              let shard = ref 0 in
-              for i = 0 to st.sg_n - 1 do
-                if st.sg_sids.(i) = sid then begin
-                  tn.queued <- tn.queued - 1;
-                  incr flush_total;
-                  let env = st.sg_envs.(i) in
-                  let len = Bytes.length env.Authenc.ciphertext in
-                  charge_aead_bytes t ~bytes:len;
-                  match urts_opt with
-                  | Some urts ->
-                      if !stamp mod t.config.shard_block = 0 then begin
-                        shard := t.rotor;
-                        t.rotor <- (t.rotor + 1) mod t.shards
-                      end;
-                      incr stamp;
-                      let ring = ring_for t tn urts !shard in
-                      if tn.ring_gen.(!shard) <> gen then begin
-                        tn.ring_gen.(!shard) <- gen;
-                        incr rings_used;
-                        (* one AEAD setup per (ring, flush), as the
-                           fallback pays one per chunk *)
-                        charge_aead_setup t
-                      end;
-                      let off = Urts.ring_stage ring ~ecall_id:st.sg_ecalls.(i) ~len in
-                      Authenc.decrypt_into s.keys ~nonce:env.Authenc.nonce
-                        ~src:env.Authenc.ciphertext ~src_off:0
-                        ~dst:(Urts.ring_buf ring) ~dst_off:off ~len;
-                      st.sg_shards.(i) <- !shard;
-                      st.sg_slots.(i) <- Urts.ring_staged ring - 1
-                  | None ->
-                      let plaintext = Bytes.create len in
-                      Authenc.decrypt_into s.keys ~nonce:env.Authenc.nonce
-                        ~src:env.Authenc.ciphertext ~src_off:0 ~dst:plaintext
-                        ~dst_off:0 ~len;
-                      st.sg_shards.(i) <- fallback_shard;
-                      fb := (i, st.sg_ecalls.(i), plaintext) :: !fb
-                end
-              done
+              let s = Hashtbl.find t.sessions sid in
+              if urts_opt <> None && not s.installed then
+                installs := s :: !installs
+        done;
+        let calls =
+          if !installs = [] && tn.stale_keys = [] then []
+          else begin
+            let installs = List.rev !installs in
+            let calls, drops_left = key_calls t installs tn.stale_keys in
+            tn.key_flush <- Some (installs, drops_left);
+            calls
+          end
+        in
+        let fb = ref [] in
+        (* rev (entry index, ecall, plaintext) for the fallback batch *)
+        for k = 0 to t.sid_count - 1 do
+          let sid = t.sid_scratch.(k) in
+          if not (Hashtbl.mem t.fault_msgs sid) then begin
+            let s = Hashtbl.find t.sessions sid in
+            let stamp = ref 0 in
+            let shard = ref 0 in
+            for i = 0 to st.sg_n - 1 do
+              if st.sg_sids.(i) = sid then begin
+                tn.queued <- tn.queued - 1;
+                incr flush_total;
+                let env = st.sg_envs.(i) in
+                let len = Bytes.length env.Authenc.ciphertext in
+                match urts_opt with
+                | Some urts ->
+                    if !stamp mod t.config.shard_block = 0 then begin
+                      shard := t.rotor;
+                      t.rotor <- (t.rotor + 1) mod t.shards
+                    end;
+                    incr stamp;
+                    let ring = ring_for t tn urts !shard in
+                    if tn.ring_gen.(!shard) <> gen then begin
+                      tn.ring_gen.(!shard) <- gen;
+                      incr rings_used;
+                      List.iter (Urts.ring_call ring ~ecall_id:key_ecall) calls
+                    end;
+                    Urts.ring_stage ring ~ecall_id:st.sg_ecalls.(i) ~session:sid
+                      ~seq:st.sg_seqs.(i) ~nonce:env.Authenc.nonce
+                      ~src:env.Authenc.ciphertext ~src_off:0 ~len;
+                    st.sg_shards.(i) <- !shard;
+                    st.sg_slots.(i) <- Urts.ring_staged ring - 1
+                | None ->
+                    charge_aead_bytes t ~bytes:len;
+                    let plaintext = Bytes.create len in
+                    Authenc.decrypt_into s.keys ~nonce:env.Authenc.nonce
+                      ~src:env.Authenc.ciphertext ~src_off:0 ~dst:plaintext
+                      ~dst_off:0 ~len;
+                    st.sg_shards.(i) <- fallback_shard;
+                    fb := (i, st.sg_ecalls.(i), plaintext) :: !fb
+              end
+            done
+          end
         done;
         match urts_opt with
         | Some urts ->
@@ -1038,16 +1240,29 @@ let flush t =
           | Some _ | None -> ()
         done)
     tenants;
-  (* Assembly: seal replies in place inside the reply image — the served
-     slot is encrypted where it lies and only the wire-facing envelope
-     (nonce, AAD, ciphertext slice) is materialized.  Reply order:
-     tenant insertion order, then session id, then sequence. *)
+  (* Assembly: a ring reply is already sealed, so the plane only copies
+     its ciphertext and tag into the wire-facing envelope; fallback
+     replies are sealed here.  Reply order: tenant insertion order, then
+     session id, then sequence. *)
   let sealed_in_batch = ref 0 in
   let out = ref [] in
   List.iter
     (fun tn ->
       let st = tn.stage in
       if st.sg_n > 0 then begin
+        (match tn.key_flush with
+        | Some (installs, drops_left) ->
+            tn.key_flush <- None;
+            let ran = ref false in
+            for shard = 0 to t.shards - 1 do
+              if tn.ring_gen.(shard) = gen && tn.ring_err.(shard) = None then
+                ran := true
+            done;
+            if !ran then begin
+              List.iter (fun (s : session) -> s.installed <- true) installs;
+              tn.stale_keys <- drops_left
+            end
+        | None -> ());
         collect_sids t st;
         for k = 0 to t.sid_count - 1 do
           let sid = t.sid_scratch.(k) in
@@ -1064,19 +1279,17 @@ let flush t =
             out :=
               { r_session_id = sid; r_seq = seq; r_result = Ok sealed } :: !out
           in
-          let seal seq ~src ~src_off ~len ~dst ~dst_off =
+          let seal_fallback seq body =
             if !sealed_in_batch = 0 then charge_aead_setup t;
             sealed_in_batch := (!sealed_in_batch + 1) mod reply_ring;
+            let len = Bytes.length body in
             charge_aead_bytes t ~bytes:len;
             let nonce = envelope_nonce ~dir:'<' ~seq in
             let aad = aad_rep ~session_id:sid ~seq in
+            let ciphertext = Bytes.create len in
             let tag =
-              Authenc.seal_into s.keys ~aad ~nonce ~src ~src_off ~dst ~dst_off
-                ~len ()
-            in
-            let ciphertext =
-              if dst == src && dst_off = src_off then Bytes.sub dst dst_off len
-              else dst
+              Authenc.seal_into s.keys ~aad ~nonce ~src:body ~src_off:0
+                ~dst:ciphertext ~dst_off:0 ~len ()
             in
             emit_sealed seq { Authenc.nonce; ciphertext; tag; aad }
           in
@@ -1089,27 +1302,23 @@ let flush t =
                   match st.sg_shards.(i) with
                   | shard when shard = fallback_shard -> (
                       match st.sg_fb.(i) with
-                      | Ok body ->
-                          let len = Bytes.length body in
-                          let ciphertext = Bytes.create len in
-                          seal seq ~src:body ~src_off:0 ~len ~dst:ciphertext
-                            ~dst_off:0
+                      | Ok body -> seal_fallback seq body
                       | Error m -> emit_err seq (Session_fault m))
                   | shard -> (
-                      match tn.ring_err.(shard) with
-                      | Some msg -> emit_err seq (Session_fault msg)
-                      | None ->
-                          let ring =
-                            match tn.rings.(shard) with
-                            | Some r -> r
-                            | None -> assert false
-                          in
-                          let off, len =
-                            Urts.ring_reply_slot ring ~slot:st.sg_slots.(i)
-                          in
-                          let buf = Urts.ring_reply_buf ring in
-                          seal seq ~src:buf ~src_off:off ~len ~dst:buf
-                            ~dst_off:off))
+                      match (tn.ring_err.(shard), tn.rings.(shard)) with
+                      | Some msg, _ -> emit_err seq (Session_fault msg)
+                      | None, None -> assert false
+                      | None, Some ring ->
+                          let slot = st.sg_slots.(i) in
+                          let off, len = Urts.ring_reply_slot ring ~slot in
+                          emit_sealed seq
+                            {
+                              Authenc.nonce = envelope_nonce ~dir:'<' ~seq;
+                              ciphertext =
+                                Bytes.sub (Urts.ring_reply_buf ring) off len;
+                              tag = Urts.ring_reply_tag ring ~slot;
+                              aad = aad_rep ~session_id:sid ~seq;
+                            }))
             end
           done
         done;
@@ -1189,10 +1398,16 @@ let quota_state t ~tenant =
 
 let session_count t = Hashtbl.length t.sessions
 
+let tenant_rings t ~tenant =
+  match Hashtbl.find_opt t.tenants tenant with
+  | None -> invalid_arg (Printf.sprintf "Serve.tenant_rings: unknown tenant %s" tenant)
+  | Some tn -> List.filter_map Fun.id (Array.to_list tn.rings)
+
 let sched_stats t = Sched.stats t.sched
 
-(* Retire a session: unstage anything still queued, recycle its EDMM
-   state slot through the tenant's free list, drop the table entry. *)
+(* Retire a session: unstage anything still queued, drop its key from
+   the enclave, recycle its EDMM state slot through the tenant's free
+   list, drop the table entry. *)
 let close_session t ~session =
   match Hashtbl.find_opt t.sessions session with
   | None -> reject t (session_reject t session)
@@ -1209,6 +1424,7 @@ let close_session t ~session =
           tn.queued <- tn.queued - 1
         end
       done;
+      forget_key s;
       Hashtbl.remove t.sessions session;
       tn.free_slots <- s.state_slot :: tn.free_slots;
       Telemetry.incr t.telemetry "serve.session_close";
@@ -1310,8 +1526,8 @@ let export_tenant t ~tenant =
                 Ok { x_tenant = tenant; x_identity; x_sessions; x_nonces }))
 
 (* Cutover: the source stops answering for the tenant and forwards
-   stragglers.  Live sessions become typed forwards; their state slots
-   recycle. *)
+   stragglers.  Live sessions become typed forwards; their keys leave
+   the enclave and their state slots recycle. *)
 let retire_tenant t ~tenant ~to_node =
   match Hashtbl.find_opt t.tenants tenant with
   | None -> reject t (Unknown_tenant tenant)
@@ -1326,10 +1542,12 @@ let retire_tenant t ~tenant ~to_node =
         in
         List.iter
           (fun (id, s) ->
+            forget_key s;
             Hashtbl.remove t.sessions id;
             tn.free_slots <- s.state_slot :: tn.free_slots;
             Hashtbl.replace t.migrated id to_node)
           sessions;
+        drop_keys_now t tn;
         tn.t_migrated_to <- Some to_node;
         Telemetry.incr t.telemetry "serve.migrate.retire";
         Ok (List.length sessions)
@@ -1409,6 +1627,7 @@ let import_tenant t (x : tenant_export) =
                   let rollback () =
                     List.iter
                       (fun (id, slot) ->
+                        Option.iter forget_key (Hashtbl.find_opt t.sessions id);
                         Hashtbl.remove t.sessions id;
                         tn.free_slots <- slot :: tn.free_slots)
                       !installed
@@ -1454,6 +1673,7 @@ let import_tenant t (x : tenant_export) =
                                 keys = Authenc.prepare key;
                                 state_slot = slot;
                                 recv_seq = sx.x_recv_seq;
+                                installed = false;
                                 s_pages = sx.x_pages;
                               };
                             installed := (sx.x_session, slot) :: !installed;
@@ -1586,6 +1806,7 @@ let resume t (r : resume) =
                             keys = Authenc.prepare key;
                             state_slot;
                             recv_seq = 0;
+                            installed = false;
                             s_pages = 0;
                           };
                         Telemetry.incr t.telemetry "serve.resume";

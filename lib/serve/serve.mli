@@ -5,9 +5,9 @@
     with the paper's attestation chain (Sec. 5 — TPM quote over the
     measured boot + hapk binding, monitor-signed ems), agrees on a
     per-session channel key, and then submits encrypted requests that
-    the plane authenticates, decrypts into the marshalling buffer and
-    routes into the SMP scheduler as batched ECALLs, replying over the
-    same channel.
+    the plane authenticates and routes, still encrypted, into the SMP
+    scheduler as switchless ring dispatches; the tenant enclave's ring
+    worker opens them and seals the replies over the same channel.
 
     {2 Handshake (SIGMA-style)}
 
@@ -35,8 +35,13 @@
     per-slice deltas ({!Quota_exhausted}), AEAD authentication
     ({!Bad_auth}) and strict sequence numbers ({!Bad_sequence}).
     {!flush} drains every admitted request through
-    {!Hyperenclave_sched.Sched} (tenants without an SDK handle dispatch
-    through the backend's batch call instead) and seals the replies.
+    {!Hyperenclave_sched.Sched}: the enclave receives each session's key
+    through the reserved {!key_ecall} at the session's first flush on a
+    node, opens requests and seals replies in its ring worker, and
+    drops the key when the session closes (with the tenant's next key
+    ECALL) or retires.  Tenants without
+    an SDK handle dispatch through the backend's batch call instead,
+    with the plane decrypting and sealing.
 
     Session work crosses the ["serve.session"] fault-injection site:
     transient faults are absorbed by the SDK's bounded retry/backoff,
@@ -143,12 +148,13 @@ type config = {
           {!Unsupported}, on every backend kind *)
 }
 (** Admissions stage into flat reusable arenas and {!flush} dispatches
-    enclave tenants through per-shard marshalling-buffer rings where the
-    pinned slot {e is} the AEAD envelope: requests decrypt into their
-    ring slot, replies seal in place in the reply image, and the only
-    per-request allocations left are the wire-facing reply envelopes.
-    Tenants without an SDK handle (the SGX model) dispatch through a
-    synchronous backend batch instead. *)
+    enclave tenants through per-shard marshalling-buffer rings that
+    carry only ciphertext and tags: requests are staged as ciphertext
+    behind a slot header, the enclave's ring worker opens them and seals
+    replies in place, and the only per-request allocations left on the
+    plane are the wire-facing reply envelopes.  Tenants without an SDK
+    handle (the SGX model) dispatch through a synchronous backend batch
+    instead. *)
 
 val default_config : config
 (** 2 cores (scheduler defaults with [drop_on_error]), 64-request
@@ -202,15 +208,30 @@ val node_quote :
 
 val add_tenant : t -> name:string -> Backend.config -> Backend.t
 (** Build the tenant's backend on the plane's platform ({!Backend.create}
-    with the plane's reserved session-state ECALLs — {!state_ecall} and
-    the migration-time state read / write movers — appended) and register
-    it.  The returned backend is the tenant's own handle — for loading
+    with the plane's reserved ECALLs — {!state_ecall}, the
+    migration-time state read / write movers and {!key_ecall} —
+    appended) and register it.  The returned backend is the tenant's own handle — for loading
     data, direct calls, and teardown.
     @raise Invalid_argument on a duplicate name or a handler colliding
     with a reserved ECALL id. *)
 
 val state_ecall : int
 (** The reserved ECALL id behind {!resize_session}. *)
+
+val key_ecall : int
+(** The reserved ECALL id that installs and drops sessions' keys in the
+    enclave: [[count:8]] then per operation [[session:8][32:8][key:32]]
+    (install) or [[session:8][0:8]] (drop).  The reply is [[n:8]], the
+    number of keys the enclave then holds.  The plane issues at most one
+    per tenant per flush — the installs for sessions flushing on this
+    node for the first time plus the drops closes queued since — and
+    one at retire. *)
+
+val key_request : (int * bytes) list -> bytes
+(** Encode a {!key_ecall} batch of [(session, key)] operations; an empty
+    [key] drops the session's key. *)
+
+val decode_key_request : bytes -> ((int * bytes) list, string) result
 
 (** Session-state requests [[off][len]] and count replies [[n]], in
     non-negative 8-byte little-endian words. *)
@@ -263,17 +284,20 @@ val handshake : t -> tenant:string -> hello -> (accept, reject) result
 val submit : t -> request -> (unit, reject) result
 (** Authenticate and admit one request: AAD + AEAD tag check where the
     envelope lies (no plaintext allocated), strict sequence check,
-    per-tenant queue bound, per-tenant cycle quota.  The decrypt is
-    deferred to {!flush} — zero-copy admission. *)
+    per-tenant queue bound, per-tenant cycle quota.  The envelope stays
+    encrypted until the enclave's ring worker opens it. *)
 
 val flush : t -> reply list
-(** Complete the deferred decrypts into ring slots spread over the
-    scheduler's cores, drain every admitted request — enclave tenants
-    as switchless ring dispatches through the scheduler, SGX-model
-    tenants through the backend batch call in ring-sized chunks — charge
-    tenant quotas, and seal the replies with the sessions' prepared
-    keys.  Replies come back in tenant-insertion order, then session id,
-    then sequence number. *)
+(** Drain every admitted request — enclave tenants as ciphertext ring
+    slots spread over the scheduler's cores, opened, served and sealed
+    by the enclave's ring worker (whose AEAD work is charged to the
+    tenant's quota with the rest of its slice); SGX-model tenants
+    decrypted here and dispatched through the backend batch call in
+    ring-sized chunks, their replies sealed here.  A session whose key
+    the enclave could not be given, a corrupt slot header, or a session
+    the enclave holds no key for fails its requests (for the latter two,
+    its whole ring) with {!Session_fault}.  Replies come back in
+    tenant-insertion order, then session id, then sequence number. *)
 
 val resize_session : t -> session:int -> pages:int -> (int, reject) result
 (** Commit [pages] pages of in-enclave session state through the
@@ -291,6 +315,11 @@ val quota_state : t -> tenant:string -> int * int
 
 val session_count : t -> int
 
+val tenant_rings : t -> tenant:string -> Hyperenclave_sdk.Urts.ring list
+(** The tenant's arena rings built so far — staging images the host can
+    read, exposed for audits of what crosses the marshalling buffer.
+    @raise Invalid_argument on an unknown tenant. *)
+
 val sched_stats : t -> Hyperenclave_sched.Sched.stats
 (** Cumulative scheduler statistics across every {!flush} so far — a
     read-only snapshot ({!Hyperenclave_sched.Sched.stats}); it never
@@ -299,7 +328,8 @@ val sched_stats : t -> Hyperenclave_sched.Sched.stats
 val close_session : t -> session:int -> (unit, reject) result
 (** Retire a session: drop anything still queued (the tenant's queue
     count shrinks accordingly), recycle its state slot for the next
-    session on the same tenant, and forget the channel key.  Counter:
+    session on the same tenant, and forget the channel key — the
+    enclave's copy too, with the tenant's next {!key_ecall}.  Counter:
     [serve.session_close]. *)
 
 val destroy : t -> unit

@@ -171,10 +171,19 @@ let hyperenclave (platform : Platform.t) ~mode ?(tweak = fun c -> c) ~handlers
       backend_name = Sgx_types.mode_name mode;
     }
   in
+  (* The SDK keeps one trusted environment per enclave, so its workload
+     view is built once as well. *)
+  let env = ref None in
+  let env_of tenv =
+    match !env with
+    | Some (seen, e) when seen == tenv -> e
+    | Some _ | None ->
+        let e = env_of_tenv tenv in
+        env := Some (tenv, e);
+        e
+  in
   let ecalls =
-    List.map
-      (fun (id, h) -> (id, fun tenv input -> h (env_of_tenv tenv) input))
-      handlers
+    List.map (fun (id, h) -> (id, fun tenv input -> h (env_of tenv) input)) handlers
   in
   let config = tweak (Urts.default_config mode) in
   let urts =

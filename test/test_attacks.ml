@@ -307,6 +307,71 @@ let test_serve_cross_tenant_probe () =
   | Error r -> Alcotest.failf "honest submit rejected: %a" Serve.pp_reject r);
   Serve.destroy plane
 
+(* A compromised host reads everything outside the enclave: the pinned
+   marshalling buffer (every ring's request and reply segment) and the
+   plane's ring images.  After a flush none of it may hold a request's
+   plaintext or a reply's: the enclave's ring worker opens and seals. *)
+let test_serve_host_reads_no_plaintext () =
+  let p = Platform.create ~seed:9200L () in
+  let plane =
+    Serve.create_node ~platform:p @@ Serve.Node_config.v ~platform:p Serve.default_config
+  in
+  let upper b = Bytes.of_string (String.uppercase_ascii (Bytes.to_string b)) in
+  let backend =
+    Serve.add_tenant plane ~name:"acme"
+      {
+        (Backend.config (Backend.Hyperenclave Sgx_types.GU)) with
+        Backend.handlers = [ (2, fun _env input -> upper input) ];
+      }
+  in
+  let client = client_for p ~identity:(Option.get backend.Backend.identity) ~seed:9201L in
+  ignore (establish plane ~tenant:"acme" client);
+  let requests =
+    List.init 6 (fun i -> Bytes.of_string (Printf.sprintf "confidential request %d" i))
+  in
+  List.iter2
+    (fun req -> function
+      | Ok reply -> Alcotest.(check bytes) "served" (upper req) reply
+      | Error r -> Alcotest.failf "request failed: %a" Serve.pp_reject r)
+    requests
+    (Serve.Client.roundtrip plane client (List.map (fun r -> (2, r)) requests));
+  let urts = Option.get backend.Backend.urts in
+  let base, size = Option.get (Urts.enclave urts).Enclave.marshalling in
+  let kernel = Kmod.kernel p.Platform.kmod in
+  let pinned =
+    Bytes.concat Bytes.empty
+      (List.init (size / Hw.Addr.page_size) (fun i ->
+           match
+             Kernel.resolve_frame kernel p.Platform.proc
+               ~vpn:(Hw.Addr.page_of base + i)
+           with
+           | Some frame ->
+               Hw.Phys_mem.read_bytes p.Platform.mem (Hw.Addr.base_of_page frame)
+                 Hw.Addr.page_size
+           | None -> Alcotest.fail "marshalling page not resident"))
+  in
+  let images =
+    List.concat_map
+      (fun r -> [ Urts.ring_buf r; Urts.ring_reply_buf r ])
+      (Serve.tenant_rings plane ~tenant:"acme")
+  in
+  Alcotest.(check bool) "the tenant staged through a ring" true (images <> []);
+  List.iter
+    (fun req ->
+      List.iter
+        (fun plain ->
+          List.iter
+            (fun (where, hay) ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%S absent from %s" (Bytes.to_string plain) where)
+                false
+                (contains (Bytes.to_string hay) (Bytes.to_string plain)))
+            (("the marshalling buffer", pinned)
+            :: List.map (fun b -> ("a ring image", b)) images))
+        [ req; upper req ])
+    requests;
+  Serve.destroy plane
+
 let test_serve_request_replay () =
   let plane, c1, _ = two_tenant_plane () in
   ignore (establish plane ~tenant:"acme" c1);
@@ -359,6 +424,8 @@ let suite =
     Alcotest.test_case "serve: cross-tenant envelope probe" `Quick
       test_serve_cross_tenant_probe;
     Alcotest.test_case "serve: request replay" `Quick test_serve_request_replay;
+    Alcotest.test_case "serve: host reads no plaintext" `Quick
+      test_serve_host_reads_no_plaintext;
     Alcotest.test_case "serve: handshake replay" `Quick
       test_serve_handshake_replay;
     Alcotest.test_case "serve: handshake splice" `Quick

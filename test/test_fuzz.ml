@@ -337,6 +337,33 @@ let rows =
       };
     Row
       {
+        name = "ring slot header";
+        count = 300;
+        gen =
+          map
+            (fun ((h_ecall, h_len, h_session), (h_seq, h_nonce, h_clear)) ->
+              { Urts.h_ecall; h_len; h_session; h_seq; h_nonce; h_clear })
+            (pair
+               (triple int (int_bound 256) non_negative)
+               (triple non_negative (bytes_gen (return 12)) bool));
+        encode = Urts.encode_slot_header;
+        decode = Urts.decode_slot_header ~slot_bytes:256;
+        words = [ 0; 8; 16; 24; 44 ];
+      };
+    Row
+      {
+        name = "session-key request";
+        count = 300;
+        gen =
+          list_size (int_bound 4)
+            (pair non_negative
+               (oneof [ return Bytes.empty; bytes_gen (return 32) ]));
+        encode = Serve.key_request;
+        decode = Serve.decode_key_request;
+        words = [ 0; 8; 16 ];
+      };
+    Row
+      {
         name = "state reply";
         count = 300;
         gen = non_negative;

@@ -961,6 +961,128 @@ let test_ecall_input_overflow () =
         ~direction:Edge.In ());
   Urts.destroy handle
 
+(* --- arena ring ------------------------------------------------------------ *)
+
+let upper input = Bytes.of_string (String.uppercase_ascii (Bytes.to_string input))
+
+(* A channel that leaves payloads as they are (ring mechanics without the
+   crypto) and holds a key for session 7 only. *)
+let plain_channel =
+  {
+    Urts.open_slot =
+      (fun ~nth:_ ~session ~nonce:_ _ ->
+        if session <> 7 then
+          raise (Urts.Enclave_error (Printf.sprintf "no key installed for session %d" session)));
+    seal_slot =
+      (fun ~nth:_ ~session:_ ~seq:_ reply buf ~off ->
+        Bytes.fill buf off 32 '\000';
+        Bytes.blit reply 0 buf (off + 32) (Bytes.length reply));
+  }
+
+let ring_fixture () =
+  let p = Platform.create ~seed:3300L () in
+  let handle =
+    Urts.create ~kmod:p.Platform.kmod ~proc:p.Platform.proc ~rng:p.Platform.rng
+      ~signer:p.Platform.signer
+      ~config:{ (Urts.default_config Sgx_types.GU) with Urts.ms_bytes = 1024 * 1024 }
+      ~ecalls:[ (1, fun (_ : Tenv.t) input -> upper input) ]
+      ~ocalls:[]
+  in
+  let ring =
+    Urts.create_ring handle ~shard:0 ~shards:1 ~slots:256 ~slot_bytes:256
+      plain_channel
+  in
+  (p, handle, ring)
+
+let slot_text i = Printf.sprintf "slot-%03d" i
+
+let stage ring i =
+  let data = Bytes.of_string (slot_text i) in
+  Urts.ring_stage ring ~ecall_id:1 ~session:7 ~seq:i ~nonce:(Bytes.make 12 'n')
+    ~src:data ~src_off:0 ~len:(Bytes.length data)
+
+let image_slots ring =
+  (Bytes.length (Urts.ring_buf ring) - 8) / (Urts.slot_header_bytes + 256)
+
+let test_ring_images_high_water () =
+  let _, handle, ring = ring_fixture () in
+  for i = 0 to 2 do
+    stage ring i
+  done;
+  Alcotest.(check int) "3 staged: 8-slot images" 8 (image_slots ring);
+  Alcotest.(check int)
+    "reply image the same size"
+    (Bytes.length (Urts.ring_buf ring))
+    (Bytes.length (Urts.ring_reply_buf ring));
+  let staged = Bytes.sub (Urts.ring_buf ring) 8 (3 * (Urts.slot_header_bytes + 256)) in
+  for i = 3 to 19 do
+    stage ring i
+  done;
+  Alcotest.(check int) "20 staged: 32-slot images" 32 (image_slots ring);
+  Alcotest.(check bytes)
+    "growth keeps the slots already staged" staged
+    (Bytes.sub (Urts.ring_buf ring) 8 (Bytes.length staged));
+  for i = 20 to 255 do
+    stage ring i
+  done;
+  Alcotest.(check int) "a full ring: 256-slot images" 256 (image_slots ring);
+  (match stage ring 256 with
+  | () -> Alcotest.fail "staged past the ring's capacity"
+  | exception Urts.Enclave_error _ -> ());
+  Urts.ring_publish ring;
+  Urts.ring_dispatch ring;
+  Urts.ring_read_replies ring;
+  for slot = 0 to 255 do
+    let off, len = Urts.ring_reply_slot ring ~slot in
+    Alcotest.(check string)
+      "reply in its slot"
+      (String.uppercase_ascii (slot_text slot))
+      (Bytes.sub_string (Urts.ring_reply_buf ring) off len)
+  done;
+  Urts.destroy handle
+
+(* A host that rewrites a published slot header fails the whole ring:
+   every slot gets the same typed error from the scheduler, which never
+   raises. *)
+let test_ring_corrupt_header_typed () =
+  List.iter
+    (fun (what, corrupt) ->
+      let p, handle, ring = ring_fixture () in
+      stage ring 0;
+      stage ring 1;
+      Urts.ring_publish ring;
+      (* slot 0's header starts right after the count word *)
+      corrupt (Urts.ring_buf ring) 8;
+      let sched =
+        Sched.create ~shared_clock:p.Platform.clock
+          ~telemetry:(Monitor.telemetry p.Platform.monitor)
+          { Sched.default_config with Sched.cores = 1; drop_on_error = true }
+      in
+      let results = ref [] in
+      Sched.submit_ring sched ~urts:handle
+        ~on_result:(fun ~index:_ r -> results := r :: !results)
+        ring;
+      let stats = Sched.run sched in
+      Alcotest.(check int) (what ^ ": both slots failed") 2 stats.Sched.failed_requests;
+      List.iter
+        (function
+          | Ok _ -> Alcotest.failf "%s: a slot was served" what
+          | Error m ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s: typed ring failure (%s)" what m)
+                true
+                (String.length m > 0))
+        !results;
+      Urts.destroy handle)
+    [
+      ("length past the slot", fun b off -> Bytes.set_int64_le b (off + 8) 257L);
+      ("negative length", fun b off -> Bytes.set_int64_le b (off + 8) (-1L));
+      ("session word with bit 63", fun b off -> Bytes.set_int64_le b (off + 16) Int64.min_int);
+      ("unknown session", fun b off -> Bytes.set_int64_le b (off + 16) 99L);
+      ("clear flag neither 0 nor 1", fun b off -> Bytes.set b (off + 44) '\002');
+      ("slot count", fun b _ -> Bytes.set_int64_le b 0 5L);
+    ]
+
 let suite =
   [
     Alcotest.test_case "versioned sealing (anti-rollback)" `Quick
@@ -981,6 +1103,10 @@ let suite =
     Alcotest.test_case "ring frame parsing" `Quick test_ring_frame_parsing;
     Alcotest.test_case "ring frame bit 63 and trailing bytes" `Quick
       test_ring_frame_bit63_and_trailing;
+    Alcotest.test_case "ring images sized to the high-water mark" `Quick
+      test_ring_images_high_water;
+    Alcotest.test_case "ring corrupt slot header typed" `Quick
+      test_ring_corrupt_header_typed;
     Alcotest.test_case "oret_batch unknown OCALL typed" `Quick
       test_oret_batch_unknown_ocall;
     Alcotest.test_case "interrupt-frequency guard" `Quick test_interrupt_guard;

@@ -520,6 +520,78 @@ let test_close_session () =
   expect_reject "unknown-session" (Serve.close_session plane ~session:sid);
   Serve.destroy plane
 
+(* The enclave's session-key table, read through the reserved key ECALL
+   with an empty batch (its reply is the number of keys held). *)
+let enclave_keys backend =
+  match
+    Backend.protected_call backend ~id:Serve.key_ecall ~data:(Serve.key_request [])
+      ~direction:Edge.In_out ()
+  with
+  | Backend.Success reply -> (
+      match Serve.decode_state_count reply with
+      | Ok n -> n
+      | Error m -> Alcotest.failf "key ECALL reply: %s" m)
+  | Backend.Typed_error m | Backend.Violation m -> Alcotest.failf "key ECALL: %s" m
+
+let served plane client data =
+  match Serve.Client.roundtrip plane client [ (2, Bytes.of_string data) ] with
+  | [ Ok r ] -> Alcotest.(check string) "served" (String.uppercase_ascii data) (Bytes.to_string r)
+  | [ Error r ] -> Alcotest.failf "roundtrip failed: %a" Serve.pp_reject r
+  | _ -> Alcotest.fail "expected one reply"
+
+(* A session's key enters the enclave at its first flush, leaves it with
+   the tenant's next flush after a close, and at retire: the table holds
+   only live sessions. *)
+let test_enclave_key_lifecycle () =
+  let p, plane, backend, c1 = build ~seed:7052L () in
+  let c2 =
+    Serve.Client.create ~rng:(Rng.create ~seed:7099L) ~golden:(golden_of p)
+      ~policy:(policy_pinning (Option.get backend.Backend.identity))
+      ()
+  in
+  establish plane c1;
+  establish plane c2;
+  Alcotest.(check int) "no key before a flush" 0 (enclave_keys backend);
+  served plane c1 "first";
+  served plane c2 "second";
+  Alcotest.(check int) "both flushed sessions keyed" 2 (enclave_keys backend);
+  (match Serve.close_session plane ~session:(Serve.Client.session_id c1) with
+  | Ok () -> ()
+  | Error r -> Alcotest.failf "close rejected: %a" Serve.pp_reject r);
+  served plane c2 "third";
+  Alcotest.(check int) "closed session's key dropped" 1 (enclave_keys backend);
+  (match Serve.retire_tenant plane ~tenant:"acme" ~to_node:1 with
+  | Ok 1 -> ()
+  | Ok n -> Alcotest.failf "retired %d sessions" n
+  | Error r -> Alcotest.failf "retire rejected: %a" Serve.pp_reject r);
+  Alcotest.(check int) "retire empties the table" 0 (enclave_keys backend);
+  Serve.destroy plane
+
+(* A host that drops a live session's key from the enclave (the key
+   ECALL is an ordinary ECALL it can issue) only denies service: the
+   session's ring fails with a typed fault and nothing raises. *)
+let test_dropped_key_typed_fault () =
+  let _p, plane, backend, client = build ~seed:7054L () in
+  establish plane client;
+  served plane client "keyed";
+  ignore
+    (Backend.protected_call backend ~id:Serve.key_ecall
+       ~data:(Serve.key_request [ (Serve.Client.session_id client, Bytes.empty) ])
+       ~direction:Edge.In_out ()
+      : Backend.outcome);
+  (match Serve.Client.roundtrip plane client [ (2, Bytes.of_string "unkeyed") ] with
+  | [ Error (Serve.Session_fault m) ] ->
+      Alcotest.(check bool) ("names the missing key: " ^ m) true
+        (let needle = "no key installed" in
+         let rec go i =
+           i + String.length needle <= String.length m
+           && (String.sub m i (String.length needle) = needle || go (i + 1))
+         in
+         go 0)
+  | [ Error r ] -> Alcotest.failf "expected session-fault, got %a" Serve.pp_reject r
+  | _ -> Alcotest.fail "expected one typed failure");
+  Serve.destroy plane
+
 let test_session_churn_reuses_state_slots () =
   (* PR 6 lifecycle fix: closed sessions recycle their EDMM state slot
      through the tenant free list.  Observable through the enclave's
@@ -1163,6 +1235,9 @@ let suite =
     Alcotest.test_case "chaos: two tenants, two cores" `Slow
       test_chaos_two_tenants_two_cores;
     Alcotest.test_case "close session" `Quick test_close_session;
+    Alcotest.test_case "enclave key lifecycle" `Quick test_enclave_key_lifecycle;
+    Alcotest.test_case "dropped enclave key fails typed" `Quick
+      test_dropped_key_typed_fault;
     Alcotest.test_case "session churn reuses state slots" `Quick
       test_session_churn_reuses_state_slots;
     Alcotest.test_case "nonce cache bounded" `Quick test_nonce_cache_bounded;
