@@ -7,7 +7,7 @@
      under a per-session AEAD key and charged for its wire crossing;
    - scaling 1 -> 2 -> 4 nodes at fixed offered load: the gain per
      node doubling (nodes have independent clocks, so the fleet rate is
-     total served over the slowest node's makespan);
+     total served over the longest node's critical path);
    - cluster_p99_upgrade_cycles: p99 per-request simulated cost while a
      rolling monitor upgrade live-migrates every tenant out and home
      again under traffic;
@@ -98,26 +98,21 @@ let critical_paths cl =
     (fun n -> Bench_serve.critical_path (Cluster.Node.platform n) (Cluster.Node.plane n))
     (Cluster.nodes cl)
 
-(* Aggregate attested rate: total scheduler throughput over the
-   slowest node — nodes run on independent simulated clocks, so the
-   fleet finishes when its most loaded node does.  Returned twice: over
-   the slowest makespan, and over the longest critical path since
-   [crit0] (the nodes' [critical_paths] when serving began). *)
+(* Aggregate attested rate: total scheduler throughput over the longest
+   node critical path since [crit0] (the nodes' [critical_paths] when
+   serving began) — nodes run on independent simulated clocks, so the
+   fleet finishes when its most loaded node does. *)
 let fleet_rate cl ~crit0 =
-  let served = ref 0 and slowest = ref 1 in
-  List.iter
-    (fun n ->
-      if Cluster.Node.alive n then begin
-        let s = Serve.sched_stats (Cluster.Node.plane n) in
-        served := !served + s.Sched.total_requests;
-        if s.Sched.makespan > !slowest then slowest := s.Sched.makespan
-      end)
-    (Cluster.nodes cl);
+  let served =
+    List.fold_left
+      (fun acc n ->
+        acc + (Serve.sched_stats (Cluster.Node.plane n)).Sched.total_requests)
+      0 (Cluster.nodes cl)
+  in
   let crit =
     List.fold_left2 (fun acc c0 c1 -> max acc (c1 - c0)) 1 crit0 (critical_paths cl)
   in
-  ( float_of_int !served *. clock_hz /. float_of_int !slowest,
-    Bench_serve.rate ~served:!served ~cycles:crit )
+  Bench_serve.rate ~served ~cycles:crit
 
 let measure_rate ~nodes ~seed =
   let cl, clients = build ~nodes ~seed in
@@ -125,10 +120,10 @@ let measure_rate ~nodes ~seed =
   for _ = 1 to rounds do
     ignore (drive_round clients : int list)
   done;
-  let rates = fleet_rate cl ~crit0 in
+  let rate = fleet_rate cl ~crit0 in
   List.iter Cluster.Client.close clients;
   Cluster.destroy cl;
-  rates
+  rate
 
 (* p99 per-request cost while a rolling upgrade migrates every tenant
    out and back under live traffic, plus the worst migration pause. *)
@@ -155,32 +150,24 @@ let measure_upgrade ~seed =
 type summary = {
   rps_by_nodes : (int * float) list;
   rps_4x8 : float;
-  crit_4x8 : float;  (* the 4-node rate over the longest critical path *)
   scaling_1_2 : float;
   scaling_2_4 : float;
-  crit_scaling_1_2 : float;  (* the same ratios over critical-path rates *)
-  crit_scaling_2_4 : float;
   p99_upgrade : int;
   pause : int;
   upgrade_migrations : int;
 }
 
 let summarize () =
-  let rates =
+  let rps_by_nodes =
     List.map (fun nodes -> (nodes, measure_rate ~nodes ~seed:1001L)) [ 1; 2; 4 ]
   in
-  let rps_by_nodes = List.map (fun (n, (r, _)) -> (n, r)) rates in
   let rate n = List.assoc n rps_by_nodes in
-  let crit n = snd (List.assoc n rates) in
   let p99_upgrade, pause, upgrade_migrations = measure_upgrade ~seed:1002L in
   {
     rps_by_nodes;
     rps_4x8 = rate 4;
-    crit_4x8 = crit 4;
     scaling_1_2 = rate 2 /. rate 1;
     scaling_2_4 = rate 4 /. rate 2;
-    crit_scaling_1_2 = crit 2 /. crit 1;
-    crit_scaling_2_4 = crit 4 /. crit 2;
     p99_upgrade;
     pause;
     upgrade_migrations;

@@ -19,7 +19,6 @@
 
 open Hyperenclave
 
-let clock_hz = 2.2e9
 let cores = 2
 let rounds = 3
 let reqs_per_round = 16
@@ -74,13 +73,12 @@ let admin (backend : Backend.t) data =
 type run = {
   label : string;
   served : int;
-  rps : float;
-  crit_rps : float;  (* served over the critical path *)
-  mean_latency : int; (* cycles per served request, makespan-based *)
+  rps : float;  (* served over the critical path *)
+  mean_latency : int; (* critical-path cycles per served request *)
 }
 
 (* Drive [rounds] x [batch] requests from [next_request] through the
-   plane and convert scheduler makespan into an attested service rate. *)
+   plane and convert the critical path into an attested service rate. *)
 let drive kind p plane client ~label ~batch next_request =
   let served = ref 0 in
   let crit0 = Bench_serve.critical_path p plane in
@@ -114,14 +112,12 @@ let drive kind p plane client ~label ~batch next_request =
       (Serve.flush plane)
   done;
   let stats = Serve.sched_stats plane in
-  let makespan = max 1 stats.Sched.makespan in
   let crit = Bench_serve.critical_path p plane - crit0 in
   {
     label;
     served = !served;
-    rps = float_of_int stats.Sched.total_requests *. clock_hz /. float_of_int makespan;
-    crit_rps = Bench_serve.rate ~served:stats.Sched.total_requests ~cycles:crit;
-    mean_latency = makespan / max 1 stats.Sched.total_requests;
+    rps = Bench_serve.rate ~served:stats.Sched.total_requests ~cycles:crit;
+    mean_latency = crit / max 1 stats.Sched.total_requests;
   }
 
 (* --- resp_kv: YCSB-shaped RESP traffic (Fig. 8d) ------------------------ *)
@@ -185,9 +181,6 @@ type summary = {
   rps_resp : float; (* headline rates for the gate *)
   rps_kvdb : float;
   rps_httpd : float;
-  crit_resp : float;  (* the same runs over the critical path *)
-  crit_kvdb : float;
-  crit_httpd : float;
 }
 
 let summarize () =
@@ -210,9 +203,6 @@ let summarize () =
     rps_resp = (last resp_runs).rps;
     rps_kvdb = (List.hd kvdb_runs).rps;
     rps_httpd = (List.hd httpd_runs).rps;
-    crit_resp = (last resp_runs).crit_rps;
-    crit_kvdb = (List.hd kvdb_runs).crit_rps;
-    crit_httpd = (List.hd httpd_runs).crit_rps;
   }
 
 let print_runs title runs =

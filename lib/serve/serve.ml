@@ -540,7 +540,7 @@ let state_write_handler (env : Backend.env) input =
 let key_ecall = 0x5e58
 
 let key_request ops =
-  let buf = Buffer.create (8 + (48 * List.length ops)) in
+  let buf = Buffer.create (8 + (key_install_bytes * List.length ops)) in
   Buffer.add_int64_le buf (Int64.of_int (List.length ops));
   List.iter
     (fun (session, key) ->
@@ -1627,7 +1627,6 @@ let import_tenant t (x : tenant_export) =
                   let rollback () =
                     List.iter
                       (fun (id, slot) ->
-                        Option.iter forget_key (Hashtbl.find_opt t.sessions id);
                         Hashtbl.remove t.sessions id;
                         tn.free_slots <- slot :: tn.free_slots)
                       !installed
