@@ -4,9 +4,10 @@
    Where fig8b/fig8c/fig8d drive the workload kernels through direct
    backend calls, this experiment runs them as in-enclave services
    (lib/serve/services.ml): every request is sealed under a session key,
-   admitted into the arena, decrypted in its ring slot, dispatched
-   through the service's LibOS event loop (loopback socket + epoll), and
-   the reply is sealed in place.  Three headline rates feed the perf
+   admitted into the arena, staged as ciphertext in its ring slot, opened
+   by the enclave's ring worker, dispatched through the service's LibOS
+   event loop (loopback socket + epoll), and the reply is sealed in
+   place by the worker.  Three headline rates feed the perf
    gate (the row list in perf_smoke.ml, baselines in
    PERF_BASELINE.json):
 
