@@ -1155,9 +1155,12 @@ let touch_segment t ~off ~len =
     | None -> fail "ring segment page 0x%x not resident" vpn
   done
 
-(* Trusted half: the persistent in-enclave worker.  One bounded reader
-   walks the published image (the count, then every slot's header,
-   payload and unused tail): each payload is copied into enclave memory
+(* Trusted half: the persistent in-enclave worker.  It reads the segment
+   the host published, through the pinned pages (into the ring's image,
+   so what the host left in [rbuf] reaches it only through the
+   marshalling buffer), and one bounded reader walks it (the count, then
+   every slot's header, payload and unused tail): each payload is copied
+   into enclave memory
    and handed to its handler — a sealed one opened there by the channel
    first, its reply sealed by the channel into the slot's place in the
    reply image; a clear one's reply stored as it is.  The worker stores
@@ -1179,6 +1182,7 @@ let run_ring_dispatch r =
     Cycles.tick (clock t)
       (c.Cost_model.switchless_post + (k * c.Cost_model.ring_slot_dispatch));
     touch_segment t ~off:r.req_off ~len;
+    ms_slice_nofault `Read t ~off:r.req_off r.rbuf ~pos:0 ~len;
     let tenv = tenv t in
     let h = r.hdr in
     let serve rd =

@@ -1041,9 +1041,25 @@ let test_ring_images_high_water () =
   done;
   Urts.destroy handle
 
+(* What a compromised host can do after [ring_publish]: rewrite the
+   pinned request segment.  Shard 0's segment starts at the page-aligned
+   base of the marshalling buffer, slot 0's header right after the count
+   word. *)
+let corrupt_pinned (p : Platform.t) handle corrupt =
+  let base, _ = Option.get (Urts.enclave handle).Enclave.marshalling in
+  let kernel = Kmod.kernel p.Platform.kmod in
+  let frame =
+    Option.get (Kernel.resolve_frame kernel p.Platform.proc ~vpn:(Hw.Addr.page_of base))
+  in
+  let pa = Hw.Addr.base_of_page frame in
+  let page = Hw.Phys_mem.read_bytes p.Platform.mem pa Hw.Addr.page_size in
+  corrupt page 8;
+  Hw.Phys_mem.write_bytes p.Platform.mem pa page
+
 (* A host that rewrites a published slot header fails the whole ring:
    every slot gets the same typed error from the scheduler, which never
-   raises. *)
+   raises.  The worker reads what was published, not the host's image:
+   the same rewrite of [ring_buf] changes nothing. *)
 let test_ring_corrupt_header_typed () =
   List.iter
     (fun (what, corrupt) ->
@@ -1051,8 +1067,7 @@ let test_ring_corrupt_header_typed () =
       stage ring 0;
       stage ring 1;
       Urts.ring_publish ring;
-      (* slot 0's header starts right after the count word *)
-      corrupt (Urts.ring_buf ring) 8;
+      corrupt_pinned p handle corrupt;
       let sched =
         Sched.create ~shared_clock:p.Platform.clock
           ~telemetry:(Monitor.telemetry p.Platform.monitor)
@@ -1081,7 +1096,19 @@ let test_ring_corrupt_header_typed () =
       ("unknown session", fun b off -> Bytes.set_int64_le b (off + 16) 99L);
       ("clear flag neither 0 nor 1", fun b off -> Bytes.set b (off + 44) '\002');
       ("slot count", fun b _ -> Bytes.set_int64_le b 0 5L);
-    ]
+    ];
+  let _, handle, ring = ring_fixture () in
+  stage ring 0;
+  Urts.ring_publish ring;
+  Bytes.set_int64_le (Urts.ring_buf ring) 16 257L;
+  Urts.ring_dispatch ring;
+  Urts.ring_read_replies ring;
+  let off, len = Urts.ring_reply_slot ring ~slot:0 in
+  Alcotest.(check string)
+    "a rewrite of the host's image after publishing is not what the worker reads"
+    (String.uppercase_ascii (slot_text 0))
+    (Bytes.sub_string (Urts.ring_reply_buf ring) off len);
+  Urts.destroy handle
 
 let suite =
   [
