@@ -171,15 +171,15 @@ let hyperenclave (platform : Platform.t) ~mode ?(tweak = fun c -> c) ~handlers
       backend_name = Sgx_types.mode_name mode;
     }
   in
-  (* The SDK keeps one trusted environment per enclave, so its workload
-     view is built once as well. *)
+  (* The SDK hands every entry the one trusted environment it keeps per
+     enclave, so the workload view over it is built at the first entry. *)
   let env = ref None in
   let env_of tenv =
     match !env with
-    | Some (seen, e) when seen == tenv -> e
-    | Some _ | None ->
+    | Some e -> e
+    | None ->
         let e = env_of_tenv tenv in
-        env := Some (tenv, e);
+        env := Some e;
         e
   in
   let ecalls =
