@@ -959,7 +959,7 @@ let ecall_batch t ~reqs () =
    grow by doubling from [initial_slots] to the deepest flush the ring
    has staged. *)
 type channel = {
-  open_slot : nth:int -> session:int -> nonce:bytes -> bytes -> unit;
+  open_slot : nth:int -> session:int -> seq:int -> nonce:bytes -> bytes -> unit;
   seal_slot : nth:int -> session:int -> seq:int -> bytes -> bytes -> off:int -> unit;
 }
 
@@ -968,12 +968,12 @@ let tag_bytes = 32
 let initial_slots = 8
 
 type slot_header = {
-  mutable h_ecall : int;
-  mutable h_len : int;
-  mutable h_session : int;
-  mutable h_seq : int;
-  mutable h_nonce : bytes;
-  mutable h_clear : bool;
+  h_ecall : int;
+  h_len : int;
+  h_session : int;
+  h_seq : int;
+  h_nonce : bytes;
+  h_clear : bool;
 }
 
 let no_nonce = Bytes.make 12 '\000'
@@ -993,36 +993,36 @@ let encode_slot_header h =
     ~seq:h.h_seq ~nonce:h.h_nonce ~clear:h.h_clear;
   b
 
-(* The worker's reader for one request header, into a reused scratch
-   record: the header is host-written, so every word is bounded. *)
-let read_slot_header ~slot_bytes r h =
-  h.h_ecall <- Codec.int64_le r "ecall id";
-  h.h_len <- Codec.len64_le ~max:slot_bytes r "length";
-  h.h_session <- Codec.len64_le ~max:max_int r "session";
-  h.h_seq <- Codec.len64_le ~max:max_int r "sequence number";
-  h.h_nonce <- Codec.take r 12 "nonce";
-  h.h_clear <-
-    (match Codec.uint8 r "clear flag" with
+(* The worker's reader for one request header: the header is
+   host-written, so every word is bounded.  It hands the fields to [k]
+   rather than returning a record, so the worker reads a slot without
+   allocating one. *)
+let read_slot_header ~slot_bytes r k =
+  let ecall = Codec.int64_le r "ecall id" in
+  let len = Codec.len64_le ~max:slot_bytes r "length" in
+  let session = Codec.len64_le ~max:max_int r "session" in
+  let seq = Codec.len64_le ~max:max_int r "sequence number" in
+  let nonce = Codec.take r 12 "nonce" in
+  let clear =
+    match Codec.uint8 r "clear flag" with
     | 0 -> false
     | 1 -> true
-    | _ -> Codec.fail "clear flag" "neither 0 nor 1");
-  Codec.literal r "\000\000\000" "padding"
-
-let fresh_header () =
-  {
-    h_ecall = 0;
-    h_len = 0;
-    h_session = 0;
-    h_seq = 0;
-    h_nonce = Bytes.empty;
-    h_clear = false;
-  }
+    | _ -> Codec.fail "clear flag" "neither 0 nor 1"
+  in
+  Codec.literal r "\000\000\000" "padding";
+  k ~ecall ~len ~session ~seq ~nonce ~clear
 
 let decode_slot_header ~slot_bytes =
   Codec.decode "ring slot header" (fun r ->
-      let h = fresh_header () in
-      read_slot_header ~slot_bytes r h;
-      h)
+      read_slot_header ~slot_bytes r (fun ~ecall ~len ~session ~seq ~nonce ~clear ->
+          {
+            h_ecall = ecall;
+            h_len = len;
+            h_session = session;
+            h_seq = seq;
+            h_nonce = nonce;
+            h_clear = clear;
+          }))
 
 type ring = {
   rt : t;
@@ -1037,7 +1037,6 @@ type ring = {
   mutable pbuf : bytes;  (* reusable reply image, same stride *)
   mutable staged : int;
   mutable calls : int;  (* clear slots among the staged *)
-  hdr : slot_header;  (* the worker's scratch for the slot it reads *)
 }
 
 let ring_staged r = r.staged
@@ -1081,7 +1080,6 @@ let create_ring t ~shard ~shards ~slots ~slot_bytes channel =
     pbuf = Bytes.make image '\000';
     staged = 0;
     calls = 0;
-    hdr = fresh_header ();
   }
 
 (* Staging writes the slot header and the payload into [ring_buf],
@@ -1184,37 +1182,38 @@ let run_ring_dispatch r =
     touch_segment t ~off:r.req_off ~len;
     ms_slice_nofault `Read t ~off:r.req_off r.rbuf ~pos:0 ~len;
     let tenv = tenv t in
-    let h = r.hdr in
     let serve rd =
       if Codec.len64_le ~max:r.slots rd "slot count" <> k then
         Codec.fail "slot count" "differs from the staged count";
       let nth = ref 0 in
-      for slot = 0 to k - 1 do
-        read_slot_header ~slot_bytes:r.slot_bytes rd h;
-        let body = Codec.take rd h.h_len "payload" in
-        Codec.skip rd (r.slot_bytes - h.h_len) "slot tail";
-        if not h.h_clear then
-          r.channel.open_slot ~nth:!nth ~session:h.h_session ~nonce:h.h_nonce
-            body;
-        let reply = (lookup_ecall t h.h_ecall) tenv body in
+      let slot = ref 0 in
+      let serve_slot ~ecall ~len ~session ~seq ~nonce ~clear =
+        let body = Codec.take rd len "payload" in
+        Codec.skip rd (r.slot_bytes - len) "slot tail";
+        if not clear then r.channel.open_slot ~nth:!nth ~session ~seq ~nonce body;
+        let reply = (lookup_ecall t ecall) tenv body in
         let rlen = Bytes.length reply in
         if rlen > r.slot_bytes then
           fail
             "ring_dispatch: ECALL %d reply (%d bytes) exceeds the %d-byte slot"
-            h.h_ecall rlen r.slot_bytes;
+            ecall rlen r.slot_bytes;
         Cycles.tick (clock t) (Cost_model.copy_cost c rlen);
-        let off = 8 + (slot * r.stride) in
-        Bytes.set_int64_le r.pbuf off (Int64.of_int h.h_ecall);
+        let off = 8 + (!slot * r.stride) in
+        Bytes.set_int64_le r.pbuf off (Int64.of_int ecall);
         Bytes.set_int64_le r.pbuf (off + 8) (Int64.of_int rlen);
-        if h.h_clear then begin
+        if clear then begin
           Bytes.fill r.pbuf (off + 16) tag_bytes '\000';
           Bytes.blit reply 0 r.pbuf (off + slot_header_bytes) rlen
         end
         else begin
-          r.channel.seal_slot ~nth:!nth ~session:h.h_session ~seq:h.h_seq reply
-            r.pbuf ~off:(off + 16);
+          r.channel.seal_slot ~nth:!nth ~session ~seq reply r.pbuf
+            ~off:(off + 16);
           incr nth
         end
+      in
+      for s = 0 to k - 1 do
+        slot := s;
+        read_slot_header ~slot_bytes:r.slot_bytes rd serve_slot
       done;
       Codec.skip rd (Bytes.length r.rbuf - len) "unused capacity"
     in

@@ -89,9 +89,10 @@ val ecall_batch : t -> reqs:(int * bytes) list -> unit -> bytes list
     preemption timer never fires inside a ring dispatch. *)
 
 type channel = {
-  open_slot : nth:int -> session:int -> nonce:bytes -> bytes -> unit;
+  open_slot :
+    nth:int -> session:int -> seq:int -> nonce:bytes -> bytes -> unit;
       (** Decrypt, in place, the enclave's copy of the dispatch's [nth]
-          sealed slot's ciphertext under [session]'s key. *)
+          sealed slot's ciphertext, request [seq] of [session]. *)
   seal_slot :
     nth:int -> session:int -> seq:int -> bytes -> bytes -> off:int -> unit;
       (** [seal_slot ~nth ~session ~seq reply buf ~off] encrypts [reply]
@@ -99,22 +100,22 @@ type channel = {
 }
 (** The tenant's trusted channel code, run by the worker inside the
     enclave around the handler of every sealed slot.  It owns the
-    enclave's session keys; for a session it holds no key for it raises
-    {!Enclave_error}, which fails the ring. *)
+    enclave's session keys; for a session it holds no key for, or a
+    sequence number the host replays, it raises {!Enclave_error}, which
+    fails the ring. *)
 
 type slot_header = {
-  mutable h_ecall : int;
-  mutable h_len : int;  (** ciphertext bytes, at most [slot_bytes] *)
-  mutable h_session : int;
-  mutable h_seq : int;
-  mutable h_nonce : bytes;  (** 12 bytes *)
-  mutable h_clear : bool;
+  h_ecall : int;
+  h_len : int;  (** ciphertext bytes, at most [slot_bytes] *)
+  h_session : int;
+  h_seq : int;
+  h_nonce : bytes;  (** 12 bytes *)
+  h_clear : bool;
       (** a plain switchless call: payload and reply in the clear *)
 }
 (** A request slot's header: 48 bytes,
     [[ecall:8][len:8][session:8][seq:8][nonce:12][clear:1][0:3]],
-    little-endian words.  Mutable because the worker reads every slot
-    into one scratch record. *)
+    little-endian words. *)
 
 val slot_header_bytes : int
 (** 48: a slot's stride is this plus its payload capacity. *)

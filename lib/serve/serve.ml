@@ -561,9 +561,26 @@ let decode_key_request =
 (* The tenant enclave's side of its sessions: the key table and the
    scratch the ring worker renders reply nonces and AADs into.  Only
    code running in the enclave — the key ECALL and the ring worker's
-   channel — touches it. *)
+   channel — touches it.
+
+   The reply nonce is derived from the host-written sequence word, so
+   the worker opens each sequence number of a session at most once and
+   seals only under the one it just opened: two replies never share a
+   key and nonce.  One flush holds at most [max_queue] consecutive
+   sequence numbers of a session, all above the previous flush's, and
+   its rings run in any order, so the opened ones are tracked in an
+   anti-replay window of [window] >= [max_queue] bits below the highest
+   (bit [seq mod window]). *)
+type enclave_key = {
+  ek_keys : Authenc.keys;
+  mutable high : int;  (* highest sequence number opened, -1 for none *)
+  seen : bytes;  (* the window's bits *)
+  mutable opened : int;  (* opened and not yet sealed, -1 for none *)
+}
+
 type enclave_keys = {
-  keys : (int, Authenc.keys) Hashtbl.t;
+  keys : (int, enclave_key) Hashtbl.t;
+  window : int;
   rep_nonce : bytes;
   rep_aad : bytes;
 }
@@ -572,7 +589,14 @@ let key_handler (ek : enclave_keys) (_ : Backend.env) input =
   List.iter
     (fun (session, key) ->
       if Bytes.length key = 0 then Hashtbl.remove ek.keys session
-      else Hashtbl.replace ek.keys session (Authenc.prepare key))
+      else
+        Hashtbl.replace ek.keys session
+          {
+            ek_keys = Authenc.prepare key;
+            high = -1;
+            seen = Bytes.make (ek.window / 8) '\000';
+            opened = -1;
+          })
     (request_or_fail (decode_key_request input));
   state_count (Hashtbl.length ek.keys)
 
@@ -585,24 +609,54 @@ let ring_channel t (ek : enclave_keys) =
   let reply_ring = max 1 (min Urts.max_batch t.config.sched.Sched.batch) in
   let key session =
     match Hashtbl.find ek.keys session with
-    | keys -> keys
+    | k -> k
     | exception Not_found ->
         raise
           (Urts.Enclave_error
              (Printf.sprintf "no key installed for session %d" session))
   in
+  let refuse session seq why =
+    raise
+      (Urts.Enclave_error
+         (Printf.sprintf "session %d: sequence number %d %s" session seq why))
+  in
+  let byte seq = seq mod ek.window / 8 in
+  let flip (k : enclave_key) seq =
+    Bytes.set_uint8 k.seen (byte seq)
+      (Bytes.get_uint8 k.seen (byte seq) lxor (1 lsl (seq land 7)))
+  in
+  let is_set (k : enclave_key) seq =
+    Bytes.get_uint8 k.seen (byte seq) land (1 lsl (seq land 7)) <> 0
+  in
+  let admit session seq (k : enclave_key) =
+    if seq > k.high then begin
+      (* slide: clear the bits of the sequence numbers leaving the window *)
+      for s = max (k.high + 1) (seq - ek.window + 1) to seq do
+        if is_set k s then flip k s
+      done;
+      k.high <- seq
+    end
+    else if seq <= k.high - ek.window then refuse session seq "below the window"
+    else if is_set k seq then refuse session seq "already opened";
+    flip k seq;
+    k.opened <- seq
+  in
   {
     Urts.open_slot =
-      (fun ~nth ~session ~nonce body ->
-        let keys = key session in
+      (fun ~nth ~session ~seq ~nonce body ->
+        let k = key session in
+        admit session seq k;
         let len = Bytes.length body in
         if nth = 0 then charge_aead_setup t;
         charge_aead_bytes t ~bytes:len;
-        Authenc.decrypt_into keys ~nonce ~src:body ~src_off:0 ~dst:body
+        Authenc.decrypt_into k.ek_keys ~nonce ~src:body ~src_off:0 ~dst:body
           ~dst_off:0 ~len);
     seal_slot =
       (fun ~nth ~session ~seq reply buf ~off ->
-        let keys = key session in
+        let k = key session in
+        if seq <> k.opened then refuse session seq "not the one opened";
+        k.opened <- -1;
+        let keys = k.ek_keys in
         let len = Bytes.length reply in
         if nth mod reply_ring = 0 then charge_aead_setup t;
         charge_aead_bytes t ~bytes:len;
@@ -633,6 +687,7 @@ let add_tenant t ~name (bc : Backend.config) =
   let ek =
     {
       keys = Hashtbl.create 8;
+      window = (t.config.max_queue + 7) land lnot 7;
       rep_nonce = Bytes.create 12;
       rep_aad = Bytes.create aad_bytes;
     }

@@ -970,7 +970,7 @@ let upper input = Bytes.of_string (String.uppercase_ascii (Bytes.to_string input
 let plain_channel =
   {
     Urts.open_slot =
-      (fun ~nth:_ ~session ~nonce:_ _ ->
+      (fun ~nth:_ ~session ~seq:_ ~nonce:_ _ ->
         if session <> 7 then
           raise (Urts.Enclave_error (Printf.sprintf "no key installed for session %d" session)));
     seal_slot =

@@ -592,6 +592,64 @@ let test_dropped_key_typed_fault () =
   | _ -> Alcotest.fail "expected one typed failure");
   Serve.destroy plane
 
+(* The worker derives a reply's nonce from the host-written sequence
+   word, so it serves each session's sequence numbers strictly
+   increasing: a host that replays a served request, or publishes one
+   request in two slots, fails the ring typed instead of getting two
+   replies sealed under one key and nonce. *)
+let test_replayed_slot_seq_typed () =
+  let p, plane, backend, client = build ~seed:7055L () in
+  establish plane client;
+  let first = Serve.Client.request client ~ecall:2 (Bytes.of_string "first") in
+  (match Serve.submit plane first with
+  | Ok () -> ()
+  | Error r -> Alcotest.failf "submit rejected: %a" Serve.pp_reject r);
+  (match Serve.flush plane with
+  | [ { Serve.r_result = Ok _; _ } ] -> ()
+  | _ -> Alcotest.fail "first request not served");
+  let next = Serve.Client.request client ~ecall:2 (Bytes.of_string "next") in
+  let ring = List.hd (Serve.tenant_rings plane ~tenant:"acme") in
+  List.iter
+    (fun (what, reqs) ->
+      List.iter
+        (fun (r : Serve.request) ->
+          let env = r.Serve.envelope in
+          let ct = env.Crypto.Authenc.ciphertext in
+          Urts.ring_stage ring ~ecall_id:r.Serve.ecall_id ~session:r.Serve.session_id
+            ~seq:r.Serve.seq ~nonce:env.Crypto.Authenc.nonce ~src:ct ~src_off:0
+            ~len:(Bytes.length ct))
+        reqs;
+      Urts.ring_publish ring;
+      let sched =
+        Sched.create ~shared_clock:p.Platform.clock
+          ~telemetry:(Monitor.telemetry p.Platform.monitor)
+          { Sched.default_config with Sched.cores = 1; drop_on_error = true }
+      in
+      let results = ref [] in
+      Sched.submit_ring sched ~urts:(Option.get backend.Backend.urts)
+        ~on_result:(fun ~index:_ r -> results := r :: !results)
+        ring;
+      let stats = Sched.run sched in
+      Alcotest.(check int) (what ^ ": every slot failed") (List.length reqs)
+        stats.Sched.failed_requests;
+      List.iter
+        (function
+          | Ok _ -> Alcotest.failf "%s: a slot was served" what
+          | Error m ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s: names the sequence number (%s)" what m)
+                true
+                (let needle = "sequence number" in
+                 let rec go i =
+                   i + String.length needle <= String.length m
+                   && (String.sub m i (String.length needle) = needle || go (i + 1))
+                 in
+                 go 0))
+        !results;
+      Urts.ring_reset ring)
+    [ ("a served request replayed", [ first ]); ("one request in two slots", [ next; next ]) ];
+  Serve.destroy plane
+
 let test_session_churn_reuses_state_slots () =
   (* PR 6 lifecycle fix: closed sessions recycle their EDMM state slot
      through the tenant free list.  Observable through the enclave's
@@ -1238,6 +1296,8 @@ let suite =
     Alcotest.test_case "enclave key lifecycle" `Quick test_enclave_key_lifecycle;
     Alcotest.test_case "dropped enclave key fails typed" `Quick
       test_dropped_key_typed_fault;
+    Alcotest.test_case "replayed slot sequence fails typed" `Quick
+      test_replayed_slot_seq_typed;
     Alcotest.test_case "session churn reuses state slots" `Quick
       test_session_churn_reuses_state_slots;
     Alcotest.test_case "nonce cache bounded" `Quick test_nonce_cache_bounded;
