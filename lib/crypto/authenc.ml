@@ -6,8 +6,9 @@ exception Authentication_failure
 
 (* Prepared key material: the HKDF split, the AES key schedule and the
    HMAC pads are paid once per key instead of once per message.  [hdr]
-   is the scratch for the 4-byte length prefix of each MAC field. *)
-type keys = { enc : Aes.key; mac : Hmac.prepared; hdr : bytes }
+   is the scratch for the 4-byte length prefix of each MAC field,
+   [digest] the one a tag check computes into. *)
+type keys = { enc : Aes.key; mac : Hmac.prepared; hdr : bytes; digest : bytes }
 
 let prepare key =
   if Bytes.length key <> 32 then invalid_arg "Authenc: key must be 32 bytes";
@@ -16,6 +17,7 @@ let prepare key =
     enc = Aes.expand_key (Bytes.sub enc_key 0 16);
     mac = Hmac.prepare (Hmac.derive ~key ~info:"authenc-mac");
     hdr = Bytes.create 4;
+    digest = Bytes.create 32;
   }
 
 let absorb_framed keys b ~off ~len =
@@ -26,42 +28,41 @@ let absorb_framed keys b ~off ~len =
 (* The MAC input is nonce, AAD and ciphertext, each prefixed by its
    32-bit big-endian length; the ciphertext is hashed where it lies
    (e.g. in a ring slot). *)
-let tag_of_slice keys ~nonce ~aad ~ct ~ct_off ~ct_len =
+let absorb_mac_input keys ~nonce ~aad ~ct ~ct_off ~ct_len =
   Hmac.start keys.mac;
   absorb_framed keys nonce ~off:0 ~len:(Bytes.length nonce);
   absorb_framed keys aad ~off:0 ~len:(Bytes.length aad);
-  absorb_framed keys ct ~off:ct_off ~len:ct_len;
-  Hmac.finish keys.mac
+  absorb_framed keys ct ~off:ct_off ~len:ct_len
 
 let seal_into keys ?(aad = Bytes.empty) ~nonce ~src ~src_off ~dst ~dst_off ~len
     () =
   if Bytes.length nonce <> 12 then
     invalid_arg "Authenc.seal_into: nonce must be 12 bytes";
   Aes.ctr_into ~key:keys.enc ~nonce ~src ~src_off ~dst ~dst_off ~len;
-  tag_of_slice keys ~nonce ~aad ~ct:dst ~ct_off:dst_off ~ct_len:len
+  absorb_mac_input keys ~nonce ~aad ~ct:dst ~ct_off:dst_off ~ct_len:len;
+  Hmac.finish keys.mac
 
-let verify_slice keys ?(aad = Bytes.empty) ~nonce ~tag ~buf ~off ~len () =
-  Sha256.equal (tag_of_slice keys ~nonce ~aad ~ct:buf ~ct_off:off ~ct_len:len)
-    tag
+let verify_slice keys ~aad ~nonce ~tag ~buf ~off ~len =
+  absorb_mac_input keys ~nonce ~aad ~ct:buf ~ct_off:off ~ct_len:len;
+  Hmac.finish_into keys.mac keys.digest;
+  Sha256.equal keys.digest tag
 
-(* Tag check without producing plaintext: the serving plane
-   authenticates envelopes at admission and defers the (in-place)
-   decrypt to the batched flush. *)
+(* Tag check without producing plaintext, for a caller that decrypts
+   elsewhere (a client reading a reply into a fresh buffer). *)
 let verify_sealed keys sealed =
   verify_slice keys ~aad:sealed.aad ~nonce:sealed.nonce ~tag:sealed.tag
     ~buf:sealed.ciphertext ~off:0
     ~len:(Bytes.length sealed.ciphertext)
-    ()
 
 (* Completion of a deferred decrypt: plain CTR over a ciphertext slice
-   whose tag was already checked (e.g. [verify_sealed] at admission
-   time, decrypt at batch-flush time).  Never call this on
-   unauthenticated bytes. *)
+   whose tag was already checked (e.g. [verify_slice] in an enclave's
+   ring worker, then the decrypt into the enclave's copy).  Never call
+   this on unauthenticated bytes. *)
 let decrypt_into keys ~nonce ~src ~src_off ~dst ~dst_off ~len =
   Aes.ctr_into ~key:keys.enc ~nonce ~src ~src_off ~dst ~dst_off ~len
 
 let unseal_in_place keys ?(aad = Bytes.empty) ~nonce ~tag buf ~off ~len =
-  if not (verify_slice keys ~aad ~nonce ~tag ~buf ~off ~len ()) then
+  if not (verify_slice keys ~aad ~nonce ~tag ~buf ~off ~len) then
     raise Authentication_failure;
   Aes.ctr_into ~key:keys.enc ~nonce ~src:buf ~src_off:off ~dst:buf ~dst_off:off
     ~len

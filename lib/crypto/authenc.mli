@@ -31,7 +31,8 @@ val unseal : key:bytes -> sealed -> bytes
     a session) should be prepared once and kept.  The operations below
     then run the cipher over caller-provided buffer slices (e.g.
     ring-resident frames) and compute the tag without copying the
-    message; a tag allocates only its 32-byte result.  The MAC input is
+    message; a seal allocates only its 32-byte tag and a tag check
+    nothing (it computes into a scratch in [keys]).  The MAC input is
     nonce, AAD and ciphertext, each prefixed by its 32-bit big-endian
     length, and every operation is byte-compatible with {!seal} /
     {!unseal} on the same key. *)
@@ -64,19 +65,18 @@ val seal_into :
 
 val verify_slice :
   keys ->
-  ?aad:bytes ->
+  aad:bytes ->
   nonce:bytes ->
   tag:bytes ->
   buf:bytes ->
   off:int ->
   len:int ->
-  unit ->
   bool
-(** Tag check over a ciphertext slice without decrypting. *)
+(** Tag check over a ciphertext slice without decrypting; allocates
+    nothing. *)
 
 val verify_sealed : keys -> sealed -> bool
-(** Tag check of a {!sealed} record without producing plaintext — the
-    admission-time half of a deferred in-place decrypt. *)
+(** Tag check of a {!sealed} record without producing plaintext. *)
 
 val unseal_in_place :
   keys -> ?aad:bytes -> nonce:bytes -> tag:bytes -> bytes -> off:int -> len:int -> unit
@@ -93,9 +93,9 @@ val decrypt_into :
   dst_off:int ->
   len:int ->
   unit
-(** Decrypt WITHOUT authenticating: the completion half of a deferred
-    in-place unseal whose tag was already checked with {!verify_sealed}
-    / {!verify_slice}.  Never call this on unauthenticated bytes. *)
+(** Decrypt WITHOUT authenticating: the completion half of an unseal
+    whose tag was already checked with {!verify_slice} /
+    {!verify_sealed}.  Never call this on unauthenticated bytes. *)
 
 val encode : sealed -> bytes
 (** Length-prefixed wire form (for writing sealed blobs to "disk"). *)

@@ -15,7 +15,8 @@ let xor_pad_in_place pad byte =
 (* A prepared key keeps only the chaining states after the ipad and
    opad blocks (two 8-word arrays) plus one work context and a digest
    scratch reused by every tag: a tag skips the two pad compressions
-   and allocates nothing but its 32-byte result. *)
+   and allocates nothing but its 32-byte result, or nothing at all when
+   the caller supplies the destination. *)
 type prepared = {
   inner : int array;
   outer : int array;
@@ -40,11 +41,16 @@ let prepare key =
 let start p = Sha256.restart p.work p.inner
 let absorb p b ~off ~len = Sha256.update_sub p.work b ~off ~len
 
-let finish p =
+let finish_into p out =
   Sha256.finalize_into p.work p.digest;
   Sha256.restart p.work p.outer;
   Sha256.update_sub p.work p.digest ~off:0 ~len:32;
-  Sha256.finalize p.work
+  Sha256.finalize_into p.work out
+
+let finish p =
+  let out = Bytes.create 32 in
+  finish_into p out;
+  out
 
 let hmac ~key msg =
   let p = prepare key in

@@ -30,6 +30,10 @@ val finish : prepared -> bytes
 (** The 32-byte tag over everything absorbed since {!start}: equal to
     {!hmac} with the same key over the concatenated message. *)
 
+val finish_into : prepared -> bytes -> unit
+(** {!finish} written into the first 32 bytes of a caller buffer, with
+    no allocation.  @raise Invalid_argument if it is shorter. *)
+
 val hmac_string : key:bytes -> string -> bytes
 val verify : key:bytes -> bytes -> tag:bytes -> bool
 

@@ -20,6 +20,12 @@ let take r n field =
   r.pos <- r.pos + n;
   Bytes.sub r.buf (r.pos - n) n
 
+let take_into r dst field =
+  let n = Bytes.length dst in
+  need r n field;
+  Bytes.blit r.buf r.pos dst 0 n;
+  r.pos <- r.pos + n
+
 let skip r n field =
   need r n field;
   r.pos <- r.pos + n
@@ -32,7 +38,10 @@ let literal r s field =
   done;
   r.pos <- r.pos + n
 
-let uint8 r field = Bytes.get_uint8 (take r 1 field) 0
+let uint8 r field =
+  need r 1 field;
+  r.pos <- r.pos + 1;
+  Bytes.get_uint8 r.buf (r.pos - 1)
 
 let int64_le r field =
   need r 8 field;

@@ -17,6 +17,10 @@ val fail : string -> string -> 'a
 
 val take : reader -> int -> string -> bytes
 
+val take_into : reader -> bytes -> string -> unit
+(** {!take} of [Bytes.length dst] bytes into [dst], allocating nothing
+    (a fixed-size field read into a reused scratch). *)
+
 val skip : reader -> int -> string -> unit
 (** Step over [n] bytes the reader has no use for (the unused tail of a
     fixed-stride slot), with the same bound as {!take}. *)

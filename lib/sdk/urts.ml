@@ -927,13 +927,15 @@ let ecall_batch t ~reqs () =
 (* A fixed-stride slot ring per (tenant, shard) in the pinned marshalling
    buffer, carrying a tenant's attested-channel traffic in ciphertext
    end to end.  The plane stages each admitted envelope's ciphertext
-   behind a slot header naming its session, sequence number and nonce;
-   the persistent in-enclave worker opens every slot into enclave
-   memory, runs the handler, and seals the reply in place with its tag
-   beside it.  Only ciphertext and tags ever reach the marshalling
-   buffer.  The channel crypto is the tenant's own trusted code
-   ([channel]): it holds the enclave's session keys and charges the AEAD
-   cost, which therefore ticks inside the worker's scheduled slice.
+   behind a slot header naming its ECALL, session, sequence number and
+   tag; the persistent in-enclave worker checks the tag and opens every
+   slot into enclave memory, runs the handler, and seals the reply in
+   place with its tag beside it.  A slot whose tag fails gets a refusal
+   marker instead of a reply, and its handler never runs.  Only
+   ciphertext and tags ever reach the marshalling buffer.  The channel
+   crypto is the tenant's own trusted code ([channel]): it holds the
+   enclave's session keys and charges the AEAD cost, which therefore
+   ticks inside the worker's scheduled slice.
 
    The dispatch is switchless: the plane publishes the staged image and
    the worker picks it up — no TCS take, no EENTER/EEXIT, no SDK soft
@@ -948,23 +950,27 @@ let ecall_batch t ~reqs () =
    ms_ocall_region) into [shards] reply segments; shard [i] owns segment
    [i] of each.  A segment holds [count:8][slot_0][slot_1]... at stride
    [slot_header_bytes + slot_bytes]:
-     request  [ecall:8][len:8][session:8][seq:8][nonce:12][clear:1][0:3][payload]
+     request  [ecall:8][len:8][session:8][seq:8][tag:32][clear:1][0:7][payload]
      reply    [ecall:8][len:8][tag:32][payload]
-   A sealed slot's payloads are channel ciphertext.  A clear slot
-   ([clear] = 1) is a plain switchless call whose argument and reply
-   travel in the clear, with no session and a zero tag: the channel
-   uses it to hand the enclave its session keys.  It gives the host
-   nothing an ordinary ECALL does not.
+   A sealed slot's payloads are channel ciphertext, and a reply whose
+   request failed its tag carries [refused] in its length word and no
+   payload.  A clear slot ([clear] = 1) is a plain switchless call whose
+   argument and reply travel in the clear, with no session and a zero
+   tag: the channel uses it to hand the enclave its session keys.  It
+   gives the host nothing an ordinary ECALL does not.
    The staging images ([rbuf]/[pbuf]) are recycled across flushes and
    grow by doubling from [initial_slots] to the deepest flush the ring
    has staged. *)
 type channel = {
-  open_slot : nth:int -> session:int -> seq:int -> nonce:bytes -> bytes -> unit;
+  open_slot :
+    nth:int -> session:int -> seq:int -> ecall:int -> tag:bytes -> bytes -> bool;
   seal_slot : nth:int -> session:int -> seq:int -> bytes -> bytes -> off:int -> unit;
 }
 
-let slot_header_bytes = 48
+let slot_header_bytes = 72
 let tag_bytes = 32
+let reply_header_bytes = 16 + tag_bytes
+let refused = -1
 let initial_slots = 8
 
 type slot_header = {
@@ -972,55 +978,56 @@ type slot_header = {
   h_len : int;
   h_session : int;
   h_seq : int;
-  h_nonce : bytes;
+  h_tag : bytes;
   h_clear : bool;
 }
 
-let no_nonce = Bytes.make 12 '\000'
+let no_tag = Bytes.make tag_bytes '\000'
 
-let write_slot_header b ~off ~ecall ~len ~session ~seq ~nonce ~clear =
+let write_slot_header b ~off ~ecall ~len ~session ~seq ~tag ~clear =
   Bytes.set_int64_le b off (Int64.of_int ecall);
   Bytes.set_int64_le b (off + 8) (Int64.of_int len);
   Bytes.set_int64_le b (off + 16) (Int64.of_int session);
   Bytes.set_int64_le b (off + 24) (Int64.of_int seq);
-  Bytes.blit nonce 0 b (off + 32) 12;
-  Bytes.fill b (off + 44) 4 '\000';
-  if clear then Bytes.set b (off + 44) '\001'
+  Bytes.blit tag 0 b (off + 32) tag_bytes;
+  Bytes.fill b (off + 64) 8 '\000';
+  if clear then Bytes.set b (off + 64) '\001'
 
 let encode_slot_header h =
   let b = Bytes.create slot_header_bytes in
   write_slot_header b ~off:0 ~ecall:h.h_ecall ~len:h.h_len ~session:h.h_session
-    ~seq:h.h_seq ~nonce:h.h_nonce ~clear:h.h_clear;
+    ~seq:h.h_seq ~tag:h.h_tag ~clear:h.h_clear;
   b
 
 (* The worker's reader for one request header: the header is
-   host-written, so every word is bounded.  It hands the fields to [k]
-   rather than returning a record, so the worker reads a slot without
-   allocating one. *)
-let read_slot_header ~slot_bytes r k =
+   host-written, so every word is bounded.  The tag lands in the
+   caller's 32-byte [tag] scratch and the other fields go to [k] rather
+   than into a record, so the worker reads a slot without allocating. *)
+let read_slot_header ~slot_bytes ~tag r k =
   let ecall = Codec.int64_le r "ecall id" in
   let len = Codec.len64_le ~max:slot_bytes r "length" in
   let session = Codec.len64_le ~max:max_int r "session" in
   let seq = Codec.len64_le ~max:max_int r "sequence number" in
-  let nonce = Codec.take r 12 "nonce" in
+  Codec.take_into r tag "tag";
   let clear =
     match Codec.uint8 r "clear flag" with
     | 0 -> false
     | 1 -> true
     | _ -> Codec.fail "clear flag" "neither 0 nor 1"
   in
-  Codec.literal r "\000\000\000" "padding";
-  k ~ecall ~len ~session ~seq ~nonce ~clear
+  Codec.literal r "\000\000\000\000\000\000\000" "padding";
+  k ~ecall ~len ~session ~seq ~clear
 
 let decode_slot_header ~slot_bytes =
   Codec.decode "ring slot header" (fun r ->
-      read_slot_header ~slot_bytes r (fun ~ecall ~len ~session ~seq ~nonce ~clear ->
+      let tag = Bytes.create tag_bytes in
+      read_slot_header ~slot_bytes ~tag r (fun ~ecall ~len ~session ~seq ~clear ->
           {
             h_ecall = ecall;
             h_len = len;
             h_session = session;
             h_seq = seq;
-            h_nonce = nonce;
+            h_tag = tag;
             h_clear = clear;
           }))
 
@@ -1035,6 +1042,10 @@ type ring = {
   stride : int;  (* slot_header_bytes + slot_bytes *)
   mutable rbuf : bytes;  (* reusable staged-request image, header included *)
   mutable pbuf : bytes;  (* reusable reply image, same stride *)
+  mutable rlens : int array;
+      (* per slot of the last reply image read: its reply length or
+         [refused] *)
+  tag : bytes;  (* the worker's scratch for a request's tag *)
   mutable staged : int;
   mutable calls : int;  (* clear slots among the staged *)
 }
@@ -1078,6 +1089,8 @@ let create_ring t ~shard ~shards ~slots ~slot_bytes channel =
     stride;
     rbuf = Bytes.make image '\000';
     pbuf = Bytes.make image '\000';
+    rlens = Array.make (min slots initial_slots) 0;
+    tag = Bytes.create tag_bytes;
     staged = 0;
     calls = 0;
   }
@@ -1085,43 +1098,47 @@ let create_ring t ~shard ~shards ~slots ~slot_bytes channel =
 (* Staging writes the slot header and the payload into [ring_buf],
    doubling the images (keeping what is staged) when the next slot does
    not fit. *)
-let stage_slot r ~ecall_id ~session ~seq ~nonce ~clear ~src ~src_off ~len =
+let stage_slot r ~ecall_id ~session ~seq ~tag ~clear ~src ~src_off ~len =
   if len < 0 || len > r.slot_bytes then
     fail "ring_stage: %d bytes exceed the %d-byte slot" len r.slot_bytes;
-  if Bytes.length nonce <> 12 then fail "ring_stage: nonce must be 12 bytes";
+  if Bytes.length tag <> tag_bytes then fail "ring_stage: tag must be 32 bytes";
   if r.staged >= r.slots then fail "ring_stage: ring full (%d slots)" r.slots;
   let off = 8 + (r.staged * r.stride) in
   if off + r.stride > Bytes.length r.rbuf then begin
-    let image = 8 + (min r.slots (2 * r.staged) * r.stride) in
+    let slots = min r.slots (2 * r.staged) in
+    let image = 8 + (slots * r.stride) in
     let grown = Bytes.make image '\000' in
     Bytes.blit r.rbuf 0 grown 0 off;
     r.rbuf <- grown;
-    r.pbuf <- Bytes.make image '\000'
+    r.pbuf <- Bytes.make image '\000';
+    r.rlens <- Array.make slots 0
   end;
-  write_slot_header r.rbuf ~off ~ecall:ecall_id ~len ~session ~seq ~nonce ~clear;
+  write_slot_header r.rbuf ~off ~ecall:ecall_id ~len ~session ~seq ~tag ~clear;
   Bytes.blit src src_off r.rbuf (off + slot_header_bytes) len;
   r.staged <- r.staged + 1
 
-let ring_stage r ~ecall_id ~session ~seq ~nonce ~src ~src_off ~len =
-  stage_slot r ~ecall_id ~session ~seq ~nonce ~clear:false ~src ~src_off ~len
+let ring_stage r ~ecall_id ~session ~seq ~tag ~src ~src_off ~len =
+  stage_slot r ~ecall_id ~session ~seq ~tag ~clear:false ~src ~src_off ~len
 
 let ring_call r ~ecall_id data =
-  stage_slot r ~ecall_id ~session:0 ~seq:0 ~nonce:no_nonce ~clear:true ~src:data
+  stage_slot r ~ecall_id ~session:0 ~seq:0 ~tag:no_tag ~clear:true ~src:data
     ~src_off:0 ~len:(Bytes.length data);
   r.calls <- r.calls + 1
 
-let ring_reply_slot r ~slot =
+let check_reply_slot r ~slot =
   if slot < 0 || slot >= r.staged then
-    fail "ring reply slot %d outside the %d staged" slot r.staged;
-  let off = 8 + (slot * r.stride) in
-  let len = Int64.to_int (Bytes.get_int64_le r.pbuf (off + 8)) in
-  if len < 0 || len > r.slot_bytes then
-    fail "ring reply slot %d has a corrupt length word (%d)" slot len;
-  (off + slot_header_bytes, len)
+    fail "ring reply slot %d outside the %d staged" slot r.staged
+
+let ring_reply_refused r ~slot =
+  check_reply_slot r ~slot;
+  r.rlens.(slot) = refused
+
+let ring_reply_slot r ~slot =
+  if ring_reply_refused r ~slot then fail "ring reply slot %d was refused" slot;
+  (8 + (slot * r.stride) + reply_header_bytes, r.rlens.(slot))
 
 let ring_reply_tag r ~slot =
-  if slot < 0 || slot >= r.staged then
-    fail "ring reply slot %d outside the %d staged" slot r.staged;
+  check_reply_slot r ~slot;
   Bytes.sub r.pbuf (8 + (slot * r.stride) + 16) tag_bytes
 
 (* Untrusted half, request direction: the plane publishes the staged
@@ -1158,13 +1175,14 @@ let touch_segment t ~off ~len =
    so what the host left in [rbuf] reaches it only through the
    marshalling buffer), and one bounded reader walks it (the count, then
    every slot's header, payload and unused tail): each payload is copied
-   into enclave memory
-   and handed to its handler — a sealed one opened there by the channel
-   first, its reply sealed by the channel into the slot's place in the
-   reply image; a clear one's reply stored as it is.  The worker stores
-   the reply image through its own mapping of the pinned region.  A
-   corrupt header or a session the enclave holds no key for fails the
-   whole ring with [Enclave_error]. *)
+   into enclave memory and handed to its handler — a sealed one
+   authenticated and opened there by the channel first, its reply sealed
+   by the channel into the slot's place in the reply image; a clear
+   one's reply stored as it is.  A sealed slot whose tag fails gets the
+   [refused] marker and no reply, and the ring's other slots are served.
+   The worker stores the reply image through its own mapping of the
+   pinned region.  A corrupt header or a session the enclave holds no
+   key for fails the whole ring with [Enclave_error]. *)
 let run_ring_dispatch r =
   let t = r.rt in
   let m = monitor t in
@@ -1187,33 +1205,41 @@ let run_ring_dispatch r =
         Codec.fail "slot count" "differs from the staged count";
       let nth = ref 0 in
       let slot = ref 0 in
-      let serve_slot ~ecall ~len ~session ~seq ~nonce ~clear =
+      let serve_slot ~ecall ~len ~session ~seq ~clear =
         let body = Codec.take rd len "payload" in
         Codec.skip rd (r.slot_bytes - len) "slot tail";
-        if not clear then r.channel.open_slot ~nth:!nth ~session ~seq ~nonce body;
-        let reply = (lookup_ecall t ecall) tenv body in
-        let rlen = Bytes.length reply in
-        if rlen > r.slot_bytes then
-          fail
-            "ring_dispatch: ECALL %d reply (%d bytes) exceeds the %d-byte slot"
-            ecall rlen r.slot_bytes;
-        Cycles.tick (clock t) (Cost_model.copy_cost c rlen);
         let off = 8 + (!slot * r.stride) in
         Bytes.set_int64_le r.pbuf off (Int64.of_int ecall);
-        Bytes.set_int64_le r.pbuf (off + 8) (Int64.of_int rlen);
-        if clear then begin
-          Bytes.fill r.pbuf (off + 16) tag_bytes '\000';
-          Bytes.blit reply 0 r.pbuf (off + slot_header_bytes) rlen
+        if
+          clear
+          || r.channel.open_slot ~nth:!nth ~session ~seq ~ecall ~tag:r.tag body
+        then begin
+          let reply = (lookup_ecall t ecall) tenv body in
+          let rlen = Bytes.length reply in
+          if rlen > r.slot_bytes then
+            fail
+              "ring_dispatch: ECALL %d reply (%d bytes) exceeds the %d-byte slot"
+              ecall rlen r.slot_bytes;
+          Cycles.tick (clock t) (Cost_model.copy_cost c rlen);
+          Bytes.set_int64_le r.pbuf (off + 8) (Int64.of_int rlen);
+          if clear then begin
+            Bytes.fill r.pbuf (off + 16) tag_bytes '\000';
+            Bytes.blit reply 0 r.pbuf (off + reply_header_bytes) rlen
+          end
+          else begin
+            r.channel.seal_slot ~nth:!nth ~session ~seq reply r.pbuf
+              ~off:(off + 16);
+            incr nth
+          end
         end
         else begin
-          r.channel.seal_slot ~nth:!nth ~session ~seq reply r.pbuf
-            ~off:(off + 16);
-          incr nth
+          Bytes.set_int64_le r.pbuf (off + 8) (Int64.of_int refused);
+          Bytes.fill r.pbuf (off + 16) tag_bytes '\000'
         end
       in
       for s = 0 to k - 1 do
         slot := s;
-        read_slot_header ~slot_bytes:r.slot_bytes rd serve_slot
+        read_slot_header ~slot_bytes:r.slot_bytes ~tag:r.tag rd serve_slot
       done;
       Codec.skip rd (Bytes.length r.rbuf - len) "unused capacity"
     in
@@ -1234,17 +1260,32 @@ let ring_dispatch r =
   Fault.with_retries ~backoff:(backoff r.rt) (fun () -> run_ring_dispatch r)
 
 (* Untrusted half, reply direction: pull the shard's reply image back
-   into [ring_reply_buf] and pay the marshalling-out rate.  Runs on the
-   caller's (plane) clock; callers that must absorb injected
-   marshalling faults wrap this in [Fault.with_retries]. *)
+   into [ring_reply_buf] and pay the marshalling-out rate, then read the
+   served count and every slot's length word with one bounded reader
+   into [rlens].  Runs on the caller's (plane) clock; callers that must
+   absorb injected marshalling faults wrap this in [Fault.with_retries]. *)
 let ring_read_replies r =
   let t = r.rt in
   if r.staged > 0 then begin
     let len = 8 + (r.staged * r.stride) in
     Edge.charge_ms_out (cost t) (clock t) ~bytes:len;
     ms_raw_read_into t ~off:r.rep_off r.pbuf ~pos:0 ~len;
-    let k = Int64.to_int (Bytes.get_int64_le r.pbuf 0) in
-    if k <> r.staged then fail "ring replies: %d staged but %d served" r.staged k
+    let read rd =
+      if Codec.len64_le ~max:r.slots rd "served count" <> r.staged then
+        Codec.fail "served count" "differs from the staged count";
+      for s = 0 to r.staged - 1 do
+        Codec.skip rd 8 "ecall id";
+        r.rlens.(s) <-
+          (match Codec.int64_le rd "length" with
+          | len when len = refused || (len >= 0 && len <= r.slot_bytes) -> len
+          | _ -> Codec.fail "length" "out of range");
+        Codec.skip rd (r.stride - 16) "reply"
+      done;
+      Codec.skip rd (Bytes.length r.pbuf - len) "unused capacity"
+    in
+    match Codec.decode "ring reply image" read r.pbuf with
+    | Ok () -> ()
+    | Error msg -> fail "ring replies: %s" msg
   end
 
 let destroy t = Kmod.ioctl_destroy_enclave t.kmod t.proc t.enclave

@@ -76,10 +76,12 @@ val ecall_batch : t -> reqs:(int * bytes) list -> unit -> bytes list
     A fixed-stride slot ring per (tenant, shard) in the pinned
     marshalling buffer that carries channel traffic in ciphertext end to
     end.  The caller stages each request's ciphertext behind a slot
-    header naming its session, sequence number and nonce; the persistent
-    in-enclave worker opens every slot into enclave memory through the
-    ring's {!channel}, runs the handler, and has the channel seal the
-    reply in place with its tag beside it.  The marshalling buffer and
+    header naming its ECALL, session, sequence number and tag; the
+    persistent in-enclave worker has the ring's {!channel} check the tag
+    and open every slot into enclave memory, runs the handler, and has
+    the channel seal the reply in place with its tag beside it.  A slot
+    whose tag fails is refused ({!ring_reply_refused}): its handler never
+    runs and the ring's other slots are served.  The marshalling buffer and
     the staging images only ever hold ciphertext and tags.  The images
     are recycled across flushes and grow by doubling from 8 slots to the
     deepest flush staged.  The dispatch is switchless: no TCS take, no
@@ -90,9 +92,12 @@ val ecall_batch : t -> reqs:(int * bytes) list -> unit -> bytes list
 
 type channel = {
   open_slot :
-    nth:int -> session:int -> seq:int -> nonce:bytes -> bytes -> unit;
-      (** Decrypt, in place, the enclave's copy of the dispatch's [nth]
-          sealed slot's ciphertext, request [seq] of [session]. *)
+    nth:int -> session:int -> seq:int -> ecall:int -> tag:bytes -> bytes -> bool;
+      (** Check [tag] over the enclave's copy of a sealed slot's
+          ciphertext, request [seq] of [session] for [ecall], and
+          decrypt it in place; [nth] slots of this dispatch were opened
+          before it.  [false] when the tag fails: the slot is refused
+          and the buffer stays ciphertext. *)
   seal_slot :
     nth:int -> session:int -> seq:int -> bytes -> bytes -> off:int -> unit;
       (** [seal_slot ~nth ~session ~seq reply buf ~off] encrypts [reply]
@@ -100,25 +105,25 @@ type channel = {
 }
 (** The tenant's trusted channel code, run by the worker inside the
     enclave around the handler of every sealed slot.  It owns the
-    enclave's session keys; for a session it holds no key for, or a
-    sequence number the host replays, it raises {!Enclave_error}, which
-    fails the ring. *)
+    enclave's session keys; for a session it holds no key for, or an
+    authentic sequence number the host replays, it raises
+    {!Enclave_error}, which fails the ring. *)
 
 type slot_header = {
   h_ecall : int;
   h_len : int;  (** ciphertext bytes, at most [slot_bytes] *)
   h_session : int;
   h_seq : int;
-  h_nonce : bytes;  (** 12 bytes *)
+  h_tag : bytes;  (** 32 bytes: the request envelope's tag *)
   h_clear : bool;
       (** a plain switchless call: payload and reply in the clear *)
 }
-(** A request slot's header: 48 bytes,
-    [[ecall:8][len:8][session:8][seq:8][nonce:12][clear:1][0:3]],
+(** A request slot's header: 72 bytes,
+    [[ecall:8][len:8][session:8][seq:8][tag:32][clear:1][0:7]],
     little-endian words. *)
 
 val slot_header_bytes : int
-(** 48: a slot's stride is this plus its payload capacity. *)
+(** 72: a slot's stride is this plus its payload capacity. *)
 
 val encode_slot_header : slot_header -> bytes
 
@@ -135,7 +140,7 @@ val create_ring :
 (** Carve shard [shard] of [shards] equal segments out of the input and
     output marshalling regions and build 8-slot staging images.
     [slot_bytes] must be a positive multiple of 8.
-    @raise Enclave_error when [slots * (48 + slot_bytes) + 8] exceeds the
+    @raise Enclave_error when [slots * (72 + slot_bytes) + 8] exceeds the
     per-shard segment — the fix is a larger [ms_bytes]. *)
 
 val ring_stage :
@@ -143,7 +148,7 @@ val ring_stage :
   ecall_id:int ->
   session:int ->
   seq:int ->
-  nonce:bytes ->
+  tag:bytes ->
   src:bytes ->
   src_off:int ->
   len:int ->
@@ -152,7 +157,7 @@ val ring_stage :
     bytes of [src] at [src_off] into {!ring_buf}, doubling the images
     first if the slot does not fit.
     @raise Enclave_error when the ring is full, [len > slot_bytes] or the
-    nonce is not 12 bytes. *)
+    tag is not 32 bytes. *)
 
 val ring_call : ring -> ecall_id:int -> bytes -> unit
 (** Claim the next slot for a clear switchless call of ECALL [ecall_id]:
@@ -179,15 +184,23 @@ val ring_dispatch : ring -> unit
 val ring_read_replies : ring -> unit
 (** Untrusted reply half: pull the reply image back into
     {!ring_reply_buf} (fires the marshalling-out fault site, pays the
-    marshalling-out rate) on the caller's clock.  Callers that must
-    absorb injected faults wrap this in [Fault.with_retries].
+    marshalling-out rate) on the caller's clock, and read its served
+    count and slot length words through {!Hyperenclave_hw.Codec}.
+    Callers that must absorb injected faults wrap this in
+    [Fault.with_retries].
     @raise Enclave_error if the reply count disagrees with the staged
-    count. *)
+    count or a length word is neither the refusal marker nor within
+    [slot_bytes]. *)
+
+val ring_reply_refused : ring -> slot:int -> bool
+(** The worker refused the slot: its request failed its tag, so no
+    handler ran and it has no reply.
+    @raise Enclave_error on an out-of-range slot. *)
 
 val ring_reply_slot : ring -> slot:int -> int * int
 (** [(offset, length)] of a served slot's reply ciphertext inside
     {!ring_reply_buf}.
-    @raise Enclave_error on an out-of-range slot or corrupt length. *)
+    @raise Enclave_error on an out-of-range or refused slot. *)
 
 val ring_reply_tag : ring -> slot:int -> bytes
 (** A copy of a served slot's 32-byte reply tag.

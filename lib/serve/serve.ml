@@ -135,7 +135,7 @@ let dummy_sealed =
     aad = Bytes.empty;
   }
 
-let dummy_outcome : (bytes, string) result = Ok Bytes.empty
+let dummy_outcome : (bytes, reject) result = Ok Bytes.empty
 
 (* Flat admission arena: one slot per staged request, recycled across
    flushes.  [sg_sids.(i) = -1] marks a slot whose session closed while
@@ -150,7 +150,7 @@ type stage = {
   mutable sg_envs : Authenc.sealed array;
   mutable sg_shards : int array;
   mutable sg_slots : int array;
-  mutable sg_fb : (bytes, string) result array;
+  mutable sg_fb : (bytes, reject) result array;
   mutable sg_n : int;
 }
 
@@ -559,18 +559,19 @@ let decode_key_request =
           (session, key)))
 
 (* The tenant enclave's side of its sessions: the key table and the
-   scratch the ring worker renders reply nonces and AADs into.  Only
+   scratch the ring worker renders envelope nonces and AADs into.  Only
    code running in the enclave — the key ECALL and the ring worker's
    channel — touches it.
 
-   The reply nonce is derived from the host-written sequence word, so
-   the worker opens each sequence number of a session at most once and
-   seals only under the one it just opened: two replies never share a
-   key and nonce.  One flush holds at most [max_queue] consecutive
-   sequence numbers of a session, all above the previous flush's, and
-   its rings run in any order, so the opened ones are tracked in an
-   anti-replay window of [window] >= [max_queue] bits below the highest
-   (bit [seq mod window]). *)
+   Both envelope nonces and AADs are derived from the host-written
+   header words, and the request's tag binds them, so a rewritten word
+   fails the tag.  The worker opens each authentic sequence number of a
+   session at most once and seals only under the one it just opened:
+   two replies never share a key and nonce.  One flush holds at most
+   [max_queue] consecutive sequence numbers of a session, all above the
+   previous flush's, and its rings run in any order, so the opened ones
+   are tracked in an anti-replay window of [window] >= [max_queue] bits
+   below the highest (bit [seq mod window]). *)
 type enclave_key = {
   ek_keys : Authenc.keys;
   mutable high : int;  (* highest sequence number opened, -1 for none *)
@@ -581,8 +582,8 @@ type enclave_key = {
 type enclave_keys = {
   keys : (int, enclave_key) Hashtbl.t;
   window : int;
-  rep_nonce : bytes;
-  rep_aad : bytes;
+  nonce : bytes;
+  aad : bytes;
 }
 
 let key_handler (ek : enclave_keys) (_ : Backend.env) input =
@@ -601,10 +602,12 @@ let key_handler (ek : enclave_keys) (_ : Backend.env) input =
   state_count (Hashtbl.length ek.keys)
 
 (* The ring worker's channel code.  The AEAD costs what it cost on the
-   plane — the per-byte rate each way, one decrypt setup per ring
-   dispatch (one ring per tenant, shard and flush) and one seal setup
-   per [reply_ring] seals of a ring — but ticks inside the worker's
-   scheduled slice, so it lands on a core and on the tenant's quota. *)
+   plane — the per-byte rate for the request's MAC check, its decrypt
+   and the reply's seal, one decrypt setup per ring dispatch (one ring
+   per tenant, shard and flush) and one seal setup per [reply_ring]
+   seals of a ring — but ticks inside the worker's scheduled slice, so
+   it lands on a core and on the tenant's quota.  A request whose tag
+   fails is refused before its sequence number reaches the window. *)
 let ring_channel t (ek : enclave_keys) =
   let reply_ring = max 1 (min Urts.max_batch t.config.sched.Sched.batch) in
   let key session =
@@ -643,14 +646,23 @@ let ring_channel t (ek : enclave_keys) =
   in
   {
     Urts.open_slot =
-      (fun ~nth ~session ~seq ~nonce body ->
+      (fun ~nth ~session ~seq ~ecall ~tag body ->
         let k = key session in
-        admit session seq k;
         let len = Bytes.length body in
-        if nth = 0 then charge_aead_setup t;
         charge_aead_bytes t ~bytes:len;
-        Authenc.decrypt_into k.ek_keys ~nonce ~src:body ~src_off:0 ~dst:body
-          ~dst_off:0 ~len);
+        set_envelope_nonce ek.nonce ~dir:'>' ~seq;
+        render_aad ek.aad ~domain:"serve-req:" ~session_id:session ~seq
+          ~tag:ecall;
+        Authenc.verify_slice k.ek_keys ~aad:ek.aad ~nonce:ek.nonce ~tag
+          ~buf:body ~off:0 ~len
+        && begin
+             admit session seq k;
+             if nth = 0 then charge_aead_setup t;
+             charge_aead_bytes t ~bytes:len;
+             Authenc.decrypt_into k.ek_keys ~nonce:ek.nonce ~src:body
+               ~src_off:0 ~dst:body ~dst_off:0 ~len;
+             true
+           end);
     seal_slot =
       (fun ~nth ~session ~seq reply buf ~off ->
         let k = key session in
@@ -660,11 +672,10 @@ let ring_channel t (ek : enclave_keys) =
         let len = Bytes.length reply in
         if nth mod reply_ring = 0 then charge_aead_setup t;
         charge_aead_bytes t ~bytes:len;
-        set_envelope_nonce ek.rep_nonce ~dir:'<' ~seq;
-        render_aad ek.rep_aad ~domain:"serve-rep:" ~session_id:session ~seq
-          ~tag:0;
+        set_envelope_nonce ek.nonce ~dir:'<' ~seq;
+        render_aad ek.aad ~domain:"serve-rep:" ~session_id:session ~seq ~tag:0;
         let tag =
-          Authenc.seal_into keys ~aad:ek.rep_aad ~nonce:ek.rep_nonce ~src:reply
+          Authenc.seal_into keys ~aad:ek.aad ~nonce:ek.nonce ~src:reply
             ~src_off:0 ~dst:buf ~dst_off:(off + 32) ~len ()
         in
         Bytes.blit tag 0 buf off 32);
@@ -688,8 +699,8 @@ let add_tenant t ~name (bc : Backend.config) =
     {
       keys = Hashtbl.create 8;
       window = (t.config.max_queue + 7) land lnot 7;
-      rep_nonce = Bytes.create 12;
-      rep_aad = Bytes.create aad_bytes;
+      nonce = Bytes.create 12;
+      aad = Bytes.create aad_bytes;
     }
   in
   let bc =
@@ -940,13 +951,14 @@ let submit t (req : request) =
   | None -> reject t (session_reject t req.session_id)
   | Some s -> (
       let tn = s.tenant in
-      (* Zero-copy admission: authenticate the envelope where it lies (a
-         MAC pass over the ciphertext, no plaintext allocated) and defer
-         the decrypt to the batched flush.  Per-byte MAC cost only — the
-         AEAD setup was paid once when the session's keys were
-         prepared. *)
+      (* Admission does no channel crypto: every check here is free on
+         the plane clock.  The tag is checked where the key lives — in
+         the tenant enclave's ring worker (the plane itself for an
+         SGX-model tenant) — and a request that fails it is admitted,
+         burns its sequence number and comes back as [Bad_auth] in its
+         reply.  The AAD check still turns away, at once, an envelope
+         aimed at another session, sequence number or ECALL. *)
       let ct_len = Bytes.length req.envelope.Authenc.ciphertext in
-      charge_aead_bytes t ~bytes:ct_len;
       if ct_len > t.config.slot_bytes then
         reject t
           (Unsupported
@@ -958,16 +970,14 @@ let submit t (req : request) =
           (aad_matches t ~domain:"serve-req:" ~session_id:req.session_id
              ~seq:req.seq ~tag:req.ecall_id req.envelope.Authenc.aad)
       then reject t Bad_auth
-      else if not (Authenc.verify_sealed s.keys req.envelope) then
-        reject t Bad_auth
       else if req.seq <> s.recv_seq then
         reject t (Bad_sequence { expected = s.recv_seq; got = req.seq })
       else
         begin
-              (* The envelope authenticated with the expected sequence
-                 number: the number is burnt from here on, whatever the
-                 admission outcome — the client's counter advanced when
-                 it sealed, so the channel stays in step across typed
+              (* The envelope carries the expected sequence number: the
+                 number is burnt from here on, whatever the admission
+                 outcome — the client's counter advanced when it sealed,
+                 so the channel stays in step across typed
                  rejections. *)
               s.recv_seq <- s.recv_seq + 1;
               match
@@ -1118,11 +1128,13 @@ let forget_key (s : session) =
 
 (* The dispatch path.  Staging, dispatch and reply bytes all live in
    reusable arenas and the pinned marshalling rings, and the plane does
-   no channel crypto on it: rings carry ciphertext in and ciphertext
-   plus tags out, and the enclave's ring worker opens and seals.  The
-   only per-request allocations left on the plane are the wire-facing
-   reply envelopes.  Tenants without an SDK handle (the SGX model) take
-   a synchronous fallback batch instead, decrypted and sealed here. *)
+   no channel crypto on it: rings carry ciphertext and tags in and
+   ciphertext plus tags out, and the enclave's ring worker checks,
+   opens and seals.  A request whose tag fails comes back as [Bad_auth]
+   in its own reply.  The only per-request allocations left on the
+   plane are the wire-facing reply envelopes.  Tenants without an SDK
+   handle (the SGX model) take a synchronous fallback batch instead,
+   checked, decrypted and sealed here. *)
 let flush t =
   Telemetry.incr t.telemetry "serve.flush";
   t.flush_gen <- t.flush_gen + 1;
@@ -1138,8 +1150,8 @@ let flush t =
   (* Pass 1 per tenant: walk the staged entries per session in (session,
      seq) order.  Injected session faults surface as typed errors in the
      assembly pass; live entries are staged as ciphertext into their
-     ring slot or, for backends without an SDK handle, decrypted into
-     the synchronous fallback batch. *)
+     ring slot or, for backends without an SDK handle, tag-checked and
+     decrypted into the synchronous fallback batch. *)
   List.iter
     (fun tn ->
       let st = tn.stage in
@@ -1207,18 +1219,23 @@ let flush t =
                       List.iter (Urts.ring_call ring ~ecall_id:key_ecall) calls
                     end;
                     Urts.ring_stage ring ~ecall_id:st.sg_ecalls.(i) ~session:sid
-                      ~seq:st.sg_seqs.(i) ~nonce:env.Authenc.nonce
+                      ~seq:st.sg_seqs.(i) ~tag:env.Authenc.tag
                       ~src:env.Authenc.ciphertext ~src_off:0 ~len;
                     st.sg_shards.(i) <- !shard;
                     st.sg_slots.(i) <- Urts.ring_staged ring - 1
                 | None ->
-                    charge_aead_bytes t ~bytes:len;
-                    let plaintext = Bytes.create len in
-                    Authenc.decrypt_into s.keys ~nonce:env.Authenc.nonce
-                      ~src:env.Authenc.ciphertext ~src_off:0 ~dst:plaintext
-                      ~dst_off:0 ~len;
                     st.sg_shards.(i) <- fallback_shard;
-                    fb := (i, st.sg_ecalls.(i), plaintext) :: !fb
+                    charge_aead_bytes t ~bytes:len;
+                    if not (Authenc.verify_sealed s.keys env) then
+                      st.sg_fb.(i) <- Error Bad_auth
+                    else begin
+                      charge_aead_bytes t ~bytes:len;
+                      let plaintext = Bytes.create len in
+                      Authenc.decrypt_into s.keys ~nonce:env.Authenc.nonce
+                        ~src:env.Authenc.ciphertext ~src_off:0 ~dst:plaintext
+                        ~dst_off:0 ~len;
+                      fb := (i, st.sg_ecalls.(i), plaintext) :: !fb
+                    end
               end
             done
           end
@@ -1267,7 +1284,8 @@ let flush t =
                     st.sg_fb.(i) <-
                       (match outcome with
                       | Backend.Success reply -> Ok reply
-                      | Backend.Typed_error m | Backend.Violation m -> Error m))
+                      | Backend.Typed_error m | Backend.Violation m ->
+                          Error (Session_fault m)))
                   chunk outcomes)
               (chunked reply_ring (List.rev !fb))
       end)
@@ -1296,8 +1314,9 @@ let flush t =
         done)
     tenants;
   (* Assembly: a ring reply is already sealed, so the plane only copies
-     its ciphertext and tag into the wire-facing envelope; fallback
-     replies are sealed here.  Reply order: tenant insertion order, then
+     its ciphertext and tag into the wire-facing envelope, or answers
+     [Bad_auth] for a slot the worker refused; fallback replies are
+     sealed here.  Reply order: tenant insertion order, then
      session id, then sequence. *)
   let sealed_in_batch = ref 0 in
   let out = ref [] in
@@ -1358,11 +1377,15 @@ let flush t =
                   | shard when shard = fallback_shard -> (
                       match st.sg_fb.(i) with
                       | Ok body -> seal_fallback seq body
-                      | Error m -> emit_err seq (Session_fault m))
+                      | Error rej -> emit_err seq rej)
                   | shard -> (
                       match (tn.ring_err.(shard), tn.rings.(shard)) with
                       | Some msg, _ -> emit_err seq (Session_fault msg)
                       | None, None -> assert false
+                      | None, Some ring
+                        when Urts.ring_reply_refused ring ~slot:st.sg_slots.(i)
+                        ->
+                          emit_err seq Bad_auth
                       | None, Some ring ->
                           let slot = st.sg_slots.(i) in
                           let off, len = Urts.ring_reply_slot ring ~slot in

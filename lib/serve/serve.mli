@@ -5,9 +5,10 @@
     with the paper's attestation chain (Sec. 5 — TPM quote over the
     measured boot + hapk binding, monitor-signed ems), agrees on a
     per-session channel key, and then submits encrypted requests that
-    the plane authenticates and routes, still encrypted, into the SMP
+    the plane admits and routes, still encrypted, into the SMP
     scheduler as switchless ring dispatches; the tenant enclave's ring
-    worker opens them and seals the replies over the same channel.
+    worker checks their tags, opens them and seals the replies over the
+    same channel.
 
     {2 Handshake (SIGMA-style)}
 
@@ -32,16 +33,17 @@
 
     Admission control is typed and per-tenant: bounded queues
     ({!Backpressure}), cycle quotas charged from the scheduler's
-    per-slice deltas ({!Quota_exhausted}), AEAD authentication
+    per-slice deltas ({!Quota_exhausted}), the envelope's AAD
     ({!Bad_auth}) and strict sequence numbers ({!Bad_sequence}).
     {!flush} drains every admitted request through
     {!Hyperenclave_sched.Sched}: the enclave receives each session's key
     through the reserved {!key_ecall} at the session's first flush on a
-    node, opens requests and seals replies in its ring worker, and
-    drops the key when the session closes (with the tenant's next key
-    ECALL) or retires.  Tenants without
-    an SDK handle dispatch through the backend's batch call instead,
-    with the plane decrypting and sealing.
+    node, checks request tags, opens requests and seals replies in its
+    ring worker, and drops the key when the session closes (with the
+    tenant's next key ECALL) or retires.  A request whose tag fails is
+    answered {!Bad_auth} in its own reply.  Tenants without an SDK
+    handle dispatch through the backend's batch call instead, with the
+    plane checking, decrypting and sealing.
 
     Session work crosses the ["serve.session"] fault-injection site:
     transient faults are absorbed by the SDK's bounded retry/backoff,
@@ -86,7 +88,9 @@ type reject =
   | Unknown_session of int
   | Unsupported of string
       (** the backend cannot do this: native attestation, SGX1 EDMM *)
-  | Bad_auth  (** AEAD authentication failure on a request envelope *)
+  | Bad_auth
+      (** a request envelope whose AAD does not match its header (at
+          {!submit}) or whose tag fails (in its {!flush} reply) *)
   | Bad_sequence of { expected : int; got : int }
       (** replayed or out-of-order request sequence number *)
   | Backpressure of { tenant : string; queued : int; limit : int }
@@ -282,19 +286,24 @@ val handshake : t -> tenant:string -> hello -> (accept, reject) result
     a session.  Counters: [serve.handshake] / [serve.handshake_rejected]. *)
 
 val submit : t -> request -> (unit, reject) result
-(** Authenticate and admit one request: AAD + AEAD tag check where the
-    envelope lies (no plaintext allocated), strict sequence check,
-    per-tenant queue bound, per-tenant cycle quota.  The envelope stays
-    encrypted until the enclave's ring worker opens it. *)
+(** Admit one request: session lookup, slot bound, AAD check (domain,
+    session, sequence number and ECALL id), strict sequence check,
+    per-tenant queue bound, per-tenant cycle quota.  Every check is free
+    on the plane clock: admission does no channel crypto.  The tag is
+    checked where the key lives, when the enclave's ring worker opens
+    the envelope, so a damaged envelope is admitted, burns its sequence
+    number and comes back as {!Bad_auth} from {!flush}. *)
 
 val flush : t -> reply list
 (** Drain every admitted request — enclave tenants as ciphertext ring
-    slots spread over the scheduler's cores, opened, served and sealed
-    by the enclave's ring worker (whose AEAD work is charged to the
-    tenant's quota with the rest of its slice); SGX-model tenants
-    decrypted here and dispatched through the backend batch call in
-    ring-sized chunks, their replies sealed here.  A session whose key
-    the enclave could not be given, a corrupt slot header, or a session
+    slots spread over the scheduler's cores, tag-checked, opened, served
+    and sealed by the enclave's ring worker (whose AEAD work is charged
+    to the tenant's quota with the rest of its slice); SGX-model tenants
+    tag-checked and decrypted here and dispatched through the backend
+    batch call in ring-sized chunks, their replies sealed here.  A
+    request whose tag fails gets {!Bad_auth} as its reply, on every
+    backend kind, and the requests beside it are served.  A session
+    whose key the enclave could not be given, a corrupt slot header, or a session
     the enclave holds no key for fails its requests (for the latter two,
     its whole ring) with {!Session_fault}.  Replies come back in
     tenant-insertion order, then session id, then sequence number. *)

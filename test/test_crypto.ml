@@ -352,7 +352,7 @@ let test_authenc_zero_copy () =
     "verify_sealed ok" true (Authenc.verify_sealed keys reference);
   Alcotest.(check bool)
     "verify_slice ok" true
-    (Authenc.verify_slice keys ~aad ~nonce ~tag ~buf:ct ~off:0 ~len ());
+    (Authenc.verify_slice keys ~aad ~nonce ~tag ~buf:ct ~off:0 ~len);
   let bad = { reference with Authenc.aad = Bytes.of_string "other" } in
   Alcotest.(check bool)
     "verify_sealed rejects wrong aad" false (Authenc.verify_sealed keys bad);
@@ -489,6 +489,26 @@ let test_verify_sealed_allocation () =
     Alcotest.failf
       "verify_sealed allocates %.1f minor words per call (bound 24)" per_call
 
+(* An enclave's ring worker checks a tag on every request slot, into
+   the scratch the prepared keys hold: a check allocates nothing, AAD
+   included. *)
+let test_verify_slice_allocation () =
+  let keys = Authenc.prepare kat_key in
+  let sealed =
+    Authenc.seal ~key:kat_key ~aad:kat_aad ~nonce:kat_nonce (kat_plaintext 96)
+  in
+  let tag = sealed.Authenc.tag and buf = sealed.Authenc.ciphertext in
+  let per_call =
+    words_per_call ~calls:200 (fun () ->
+        if
+          not
+            (Authenc.verify_slice keys ~aad:kat_aad ~nonce:kat_nonce ~tag ~buf
+               ~off:0 ~len:96)
+        then Alcotest.fail "verify_slice rejected a valid envelope")
+  in
+  if per_call >= 1.0 then
+    Alcotest.failf "verify_slice allocates %.2f minor words per call" per_call
+
 (* --- properties ---------------------------------------------------------------------------- *)
 
 let qcheck_tests =
@@ -553,4 +573,6 @@ let suite =
         test_seal_into_allocation;
       Alcotest.test_case "authenc verify_sealed steady-state allocation" `Quick
         test_verify_sealed_allocation;
+      Alcotest.test_case "verify_slice steady state allocation-free" `Quick
+        test_verify_slice_allocation;
     ]

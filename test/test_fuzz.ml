@@ -341,14 +341,14 @@ let rows =
         count = 300;
         gen =
           map
-            (fun ((h_ecall, h_len, h_session), (h_seq, h_nonce, h_clear)) ->
-              { Urts.h_ecall; h_len; h_session; h_seq; h_nonce; h_clear })
+            (fun ((h_ecall, h_len, h_session), (h_seq, h_tag, h_clear)) ->
+              { Urts.h_ecall; h_len; h_session; h_seq; h_tag; h_clear })
             (pair
                (triple int (int_bound 256) non_negative)
-               (triple non_negative (bytes_gen (return 12)) bool));
+               (triple non_negative (bytes_gen (return 32)) bool));
         encode = Urts.encode_slot_header;
         decode = Urts.decode_slot_header ~slot_bytes:256;
-        words = [ 0; 8; 16; 24; 44 ];
+        words = [ 0; 8; 16; 24; 64 ];
       };
     Row
       {

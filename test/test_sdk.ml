@@ -970,9 +970,10 @@ let upper input = Bytes.of_string (String.uppercase_ascii (Bytes.to_string input
 let plain_channel =
   {
     Urts.open_slot =
-      (fun ~nth:_ ~session ~seq:_ ~nonce:_ _ ->
+      (fun ~nth:_ ~session ~seq:_ ~ecall:_ ~tag:_ _ ->
         if session <> 7 then
-          raise (Urts.Enclave_error (Printf.sprintf "no key installed for session %d" session)));
+          raise (Urts.Enclave_error (Printf.sprintf "no key installed for session %d" session));
+        true);
     seal_slot =
       (fun ~nth:_ ~session:_ ~seq:_ reply buf ~off ->
         Bytes.fill buf off 32 '\000';
@@ -998,7 +999,7 @@ let slot_text i = Printf.sprintf "slot-%03d" i
 
 let stage ring i =
   let data = Bytes.of_string (slot_text i) in
-  Urts.ring_stage ring ~ecall_id:1 ~session:7 ~seq:i ~nonce:(Bytes.make 12 'n')
+  Urts.ring_stage ring ~ecall_id:1 ~session:7 ~seq:i ~tag:(Bytes.make 32 't')
     ~src:data ~src_off:0 ~len:(Bytes.length data)
 
 let image_slots ring =
@@ -1094,7 +1095,7 @@ let test_ring_corrupt_header_typed () =
       ("negative length", fun b off -> Bytes.set_int64_le b (off + 8) (-1L));
       ("session word with bit 63", fun b off -> Bytes.set_int64_le b (off + 16) Int64.min_int);
       ("unknown session", fun b off -> Bytes.set_int64_le b (off + 16) 99L);
-      ("clear flag neither 0 nor 1", fun b off -> Bytes.set b (off + 44) '\002');
+      ("clear flag neither 0 nor 1", fun b off -> Bytes.set b (off + 64) '\002');
       ("slot count", fun b _ -> Bytes.set_int64_le b 0 5L);
     ];
   let _, handle, ring = ring_fixture () in

@@ -171,16 +171,40 @@ let test_garbage_quote_wire () =
 (* ------------------------------------------------------------------ *)
 (* Channel security + admission control                                *)
 
+let served plane client data =
+  match Serve.Client.roundtrip plane client [ (2, Bytes.of_string data) ] with
+  | [ Ok r ] -> Alcotest.(check string) "served" (String.uppercase_ascii data) (Bytes.to_string r)
+  | [ Error r ] -> Alcotest.failf "roundtrip failed: %a" Serve.pp_reject r
+  | _ -> Alcotest.fail "expected one reply"
+
+let flip_byte0 b =
+  let b = Bytes.copy b in
+  Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor 1));
+  b
+
+let with_ciphertext f (req : Serve.request) =
+  let env = req.Serve.envelope in
+  { req with Serve.envelope = { env with Crypto.Authenc.ciphertext = f env.Crypto.Authenc.ciphertext } }
+
+let with_tag f (req : Serve.request) =
+  let env = req.Serve.envelope in
+  { req with Serve.envelope = { env with Crypto.Authenc.tag = f env.Crypto.Authenc.tag } }
+
+(* The tag is checked where the session key lives, in the enclave's
+   ring worker: a tampered envelope is admitted (its sequence number is
+   burnt) and refused in its own reply, and the channel stays in step. *)
 let test_tampered_envelope_rejected () =
   let _p, plane, _backend, client = build ~seed:7010L () in
   establish plane client;
   let req = Serve.Client.request client ~ecall:1 (Bytes.of_string "payload") in
-  let ct = Bytes.copy req.Serve.envelope.Crypto.Authenc.ciphertext in
-  Bytes.set ct 0 (Char.chr (Char.code (Bytes.get ct 0) lxor 1));
-  let tampered =
-    { req with Serve.envelope = { req.Serve.envelope with Crypto.Authenc.ciphertext = ct } }
-  in
-  expect_reject "bad-auth" (Serve.submit plane tampered);
+  (match Serve.submit plane (with_ciphertext flip_byte0 req) with
+  | Ok () -> ()
+  | Error r -> Alcotest.failf "tampered submit not admitted: %a" Serve.pp_reject r);
+  (match Serve.flush plane with
+  | [ { Serve.r_seq; r_result = Error Serve.Bad_auth; _ } ] ->
+      Alcotest.(check int) "the tampered request's reply" req.Serve.seq r_seq
+  | _ -> Alcotest.fail "expected one bad-auth reply");
+  served plane client "next";
   Serve.destroy plane
 
 let test_respliced_header_rejected () =
@@ -533,12 +557,6 @@ let enclave_keys backend =
       | Error m -> Alcotest.failf "key ECALL reply: %s" m)
   | Backend.Typed_error m | Backend.Violation m -> Alcotest.failf "key ECALL: %s" m
 
-let served plane client data =
-  match Serve.Client.roundtrip plane client [ (2, Bytes.of_string data) ] with
-  | [ Ok r ] -> Alcotest.(check string) "served" (String.uppercase_ascii data) (Bytes.to_string r)
-  | [ Error r ] -> Alcotest.failf "roundtrip failed: %a" Serve.pp_reject r
-  | _ -> Alcotest.fail "expected one reply"
-
 (* A session's key enters the enclave at its first flush, leaves it with
    the tenant's next flush after a close, and at retire: the table holds
    only live sessions. *)
@@ -616,7 +634,7 @@ let test_replayed_slot_seq_typed () =
           let env = r.Serve.envelope in
           let ct = env.Crypto.Authenc.ciphertext in
           Urts.ring_stage ring ~ecall_id:r.Serve.ecall_id ~session:r.Serve.session_id
-            ~seq:r.Serve.seq ~nonce:env.Crypto.Authenc.nonce ~src:ct ~src_off:0
+            ~seq:r.Serve.seq ~tag:env.Crypto.Authenc.tag ~src:ct ~src_off:0
             ~len:(Bytes.length ct))
         reqs;
       Urts.ring_publish ring;
@@ -648,6 +666,121 @@ let test_replayed_slot_seq_typed () =
         !results;
       Urts.ring_reset ring)
     [ ("a served request replayed", [ first ]); ("one request in two slots", [ next; next ]) ];
+  Serve.destroy plane
+
+(* A host that has the pinned marshalling buffer can rewrite a
+   published slot: find [needle] there and overwrite it with [patch]. *)
+let rewrite_pinned (p : Platform.t) urts ~needle ~patch =
+  let base, size = Option.get (Urts.enclave urts).Enclave.marshalling in
+  let kernel = Kmod.kernel p.Platform.kmod in
+  let pages = size / Hw.Addr.page_size in
+  let frame i =
+    match Kernel.resolve_frame kernel p.Platform.proc ~vpn:(Hw.Addr.page_of base + i) with
+    | Some frame -> Hw.Addr.base_of_page frame
+    | None -> Alcotest.fail "marshalling page not resident"
+  in
+  let image =
+    Bytes.concat Bytes.empty
+      (List.init pages (fun i -> Hw.Phys_mem.read_bytes p.Platform.mem (frame i) Hw.Addr.page_size))
+  in
+  let n = Bytes.length needle in
+  let rec find i =
+    if i + n > Bytes.length image then Alcotest.fail "needle not in the marshalling buffer"
+    else if Bytes.sub image i n = needle then i
+    else find (i + 1)
+  in
+  Bytes.blit patch 0 image (find 0) (Bytes.length patch);
+  for i = 0 to pages - 1 do
+    Hw.Phys_mem.write_bytes p.Platform.mem (frame i)
+      (Bytes.sub image (i * Hw.Addr.page_size) Hw.Addr.page_size)
+  done
+
+(* The request's tag binds its ECALL id: a host that rewrites a
+   published slot's id gets the slot refused by the enclave instead of
+   served by another handler, and the ring's dispatch does not fail. *)
+let test_respliced_slot_ecall_refused () =
+  let p = Platform.create ~seed:7056L () in
+  let plane =
+    Serve.create_node ~platform:p @@ Serve.Node_config.v ~platform:p Serve.default_config
+  in
+  let ran = Array.make 3 0 in
+  let counting id f = (id, fun _env input -> ran.(id) <- ran.(id) + 1; f input) in
+  let backend =
+    Serve.add_tenant plane ~name:"acme"
+      { (tenant_config ()) with Backend.handlers = [ counting 1 Fun.id; counting 2 upper ] }
+  in
+  let identity = Option.get backend.Backend.identity in
+  let client =
+    Serve.Client.create ~rng:(Rng.create ~seed:7057L) ~golden:(golden_of p)
+      ~policy:(policy_pinning identity) ~expected_tenant:identity ()
+  in
+  establish plane client;
+  served plane client "keyed";
+  let req = Serve.Client.request client ~ecall:2 (Bytes.of_string "for ecall 2") in
+  let env = req.Serve.envelope in
+  let ct = env.Crypto.Authenc.ciphertext in
+  let header ecall =
+    Urts.encode_slot_header
+      {
+        Urts.h_ecall = ecall;
+        h_len = Bytes.length ct;
+        h_session = req.Serve.session_id;
+        h_seq = req.Serve.seq;
+        h_tag = env.Crypto.Authenc.tag;
+        h_clear = false;
+      }
+  in
+  let ring = List.hd (Serve.tenant_rings plane ~tenant:"acme") in
+  let urts = Option.get backend.Backend.urts in
+  Urts.ring_stage ring ~ecall_id:2 ~session:req.Serve.session_id ~seq:req.Serve.seq
+    ~tag:env.Crypto.Authenc.tag ~src:ct ~src_off:0 ~len:(Bytes.length ct);
+  Urts.ring_publish ring;
+  rewrite_pinned p urts ~needle:(header 2) ~patch:(header 1);
+  let sched =
+    Sched.create ~shared_clock:p.Platform.clock
+      ~telemetry:(Monitor.telemetry p.Platform.monitor)
+      { Sched.default_config with Sched.cores = 1; drop_on_error = true }
+  in
+  Sched.submit_ring sched ~urts ~on_result:(fun ~index:_ _ -> ()) ring;
+  let stats = Sched.run sched in
+  Alcotest.(check int) "the ring did not fail" 0 stats.Sched.failed_requests;
+  Urts.ring_read_replies ring;
+  Alcotest.(check bool) "the respliced slot is refused" true
+    (Urts.ring_reply_refused ring ~slot:0);
+  Alcotest.(check (array int)) "no handler ran for it" [| 0; 0; 1 |] ran;
+  Urts.ring_reset ring;
+  Serve.destroy plane
+
+(* A ring with a flipped ciphertext byte, a flipped tag byte and a
+   genuine sibling: the worker refuses the two damaged slots, serves the
+   sibling, and each damaged request comes back as [Bad_auth]. *)
+let test_damaged_slots_bad_auth () =
+  let p, plane, _backend, client = build ~seed:7058L () in
+  establish plane client;
+  let request text = Serve.Client.request client ~ecall:2 (Bytes.of_string text) in
+  let ct_flipped = with_ciphertext flip_byte0 (request "ciphertext flipped") in
+  let tag_flipped = with_tag flip_byte0 (request "tag flipped") in
+  let reqs = [ ct_flipped; tag_flipped; request "sibling" ] in
+  List.iter
+    (fun req ->
+      match Serve.submit plane req with
+      | Ok () -> ()
+      | Error r -> Alcotest.failf "submit not admitted: %a" Serve.pp_reject r)
+    reqs;
+  (match Serve.flush plane with
+  | [
+   { Serve.r_result = Error Serve.Bad_auth; _ };
+   { Serve.r_result = Error Serve.Bad_auth; _ };
+   sibling;
+  ] -> (
+      match Serve.Client.read_reply client sibling with
+      | Ok body -> Alcotest.(check string) "sibling served" "SIBLING" (Bytes.to_string body)
+      | Error r -> Alcotest.failf "sibling failed: %a" Serve.pp_reject r)
+  | _ -> Alcotest.fail "expected two bad-auth replies, then the sibling's");
+  Alcotest.(check int) "one ring carried all three" 1
+    (List.length (Serve.tenant_rings plane ~tenant:"acme"));
+  Alcotest.(check int) "bad-auth counted per reply" 2
+    (Telemetry.counter (Monitor.telemetry p.Platform.monitor) "serve.reject.bad-auth");
   Serve.destroy plane
 
 let test_session_churn_reuses_state_slots () =
@@ -929,8 +1062,11 @@ let test_telemetry_counters () =
 (* Traffic for a plane with three tenants and two sessions each (session
    [i] belongs to tenant [i / 2]): two HyperEnclave tenants served
    through the ring path, one SGX-model tenant through the synchronous
-   fallback. *)
-type op = Send of int * int * string  (* session, ecall, payload *) | Close of int
+   fallback.  A damaged send flips a byte of its envelope's tag (or of
+   its ciphertext, for an odd-length payload) after sealing. *)
+type op =
+  | Send of int * int * string * bool  (* session, ecall, payload, damaged *)
+  | Close of int
 
 let spec_kinds =
   Backend.[| Hyperenclave Sgx_types.GU; Hyperenclave Sgx_types.HU; Sgx |]
@@ -940,17 +1076,20 @@ type spec_session = {
   mutable alive : bool;
   mutable sent : int;  (* the client's next sequence number *)
   mutable recv : int;  (* the sequence number the plane expects *)
-  mutable staged : (int * string) list;  (* rev (seq, reply body) *)
+  mutable staged : (int * string option) list;
+      (* rev (seq, reply body), [None] for a damaged envelope *)
 }
 
 (* The serving contract as a pure model.  [submit] answers "ok" or a
    [Serve.reject_name]: unknown-session once closed; unsupported for a
    ciphertext over [slot_bytes] (the sequence number is not burnt);
    bad-sequence once the client's counter ran ahead; backpressure past
-   [max_queue] staged requests per tenant (burnt).  [close] drops what
-   the session staged.  [flush] answers every staged request once, in
-   tenant insertion order, then session id, then sequence number, with
-   the handler's output as body. *)
+   [max_queue] staged requests per tenant (burnt).  A damaged envelope
+   is admitted like a genuine one: admission checks no tag.  [close]
+   drops what the session staged.  [flush] answers every staged request
+   once, in tenant insertion order, then session id, then sequence
+   number, with the handler's output as body, or bad-auth for a damaged
+   envelope. *)
 module Spec = struct
   type t = {
     ss : spec_session array;
@@ -959,7 +1098,7 @@ module Spec = struct
     slot_bytes : int;
   }
 
-  let submit m i ecall payload =
+  let submit m i ecall payload ~damaged =
     let s = m.ss.(i) and tn = i / 2 in
     let seq = s.sent in
     s.sent <- seq + 1;
@@ -972,7 +1111,9 @@ module Spec = struct
       else begin
         m.queued.(tn) <- m.queued.(tn) + 1;
         let body =
-          if ecall = 2 then String.uppercase_ascii payload else payload
+          if damaged then None
+          else if ecall = 2 then Some (String.uppercase_ascii payload)
+          else Some payload
         in
         s.staged <- (seq, body) :: s.staged;
         "ok"
@@ -1014,7 +1155,8 @@ let reply_nonce seq =
    outcome to [Spec].  A reply matches when its session id, sequence
    number and nonce are the expected ones and [Client.read_reply] opens
    it (AAD check + AEAD tag) to the expected body: with key, nonce, AAD
-   and plaintext fixed, that pins every byte of the envelope. *)
+   and plaintext fixed, that pins every byte of the envelope.  A damaged
+   request's reply must be bad-auth. *)
 let spec_property ((cores, batch, shard_block, max_queue), batches) =
   let config =
     {
@@ -1066,12 +1208,27 @@ let spec_property ((cores, batch, shard_block, max_queue), batches) =
     }
   in
   let outcome = function Ok () -> "ok" | Error r -> Serve.reject_name r in
+  let damage (req : Serve.request) =
+    let env = req.Serve.envelope in
+    let flip b =
+      let b = Bytes.copy b in
+      Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor 0x80));
+      b
+    in
+    let env =
+      if Bytes.length env.Crypto.Authenc.ciphertext land 1 = 1 then
+        { env with Crypto.Authenc.ciphertext = flip env.Crypto.Authenc.ciphertext }
+      else { env with Crypto.Authenc.tag = flip env.Crypto.Authenc.tag }
+    in
+    { req with Serve.envelope = env }
+  in
   let op_ok = function
-    | Send (i, ecall, payload) ->
+    | Send (i, ecall, payload, damaged) ->
         let req =
           Serve.Client.request clients.(i) ~ecall (Bytes.of_string payload)
         in
-        outcome (Serve.submit plane req) = Spec.submit m i ecall payload
+        let req = if damaged then damage req else req in
+        outcome (Serve.submit plane req) = Spec.submit m i ecall payload ~damaged
     | Close i ->
         outcome (Serve.close_session plane ~session:m.Spec.ss.(i).sid)
         = Spec.close m i
@@ -1079,10 +1236,13 @@ let spec_property ((cores, batch, shard_block, max_queue), batches) =
   let reply_ok (r : Serve.reply) (i, seq, body) =
     r.Serve.r_session_id = m.Spec.ss.(i).sid
     && r.Serve.r_seq = seq
-    && (match r.Serve.r_result with
-       | Ok e -> Bytes.equal e.Crypto.Authenc.nonce (reply_nonce seq)
-       | Error _ -> false)
-    && Serve.Client.read_reply clients.(i) r = Ok (Bytes.of_string body)
+    &&
+    match (body, r.Serve.r_result) with
+    | None, result -> result = Error Serve.Bad_auth
+    | Some _, Error _ -> false
+    | Some body, Ok e ->
+        Bytes.equal e.Crypto.Authenc.nonce (reply_nonce seq)
+        && Serve.Client.read_reply clients.(i) r = Ok (Bytes.of_string body)
   in
   let ok =
     List.for_all
@@ -1107,10 +1267,11 @@ let spec_gen =
   let open QCheck.Gen in
   let sess = int_bound 5 in
   let send =
-    map3
-      (fun i ecall payload -> Send (i, ecall, payload))
-      sess (oneofl [ 1; 2 ])
-      (string_size ~gen:printable (int_bound 64))
+    let+ i = sess
+    and+ ecall = oneofl [ 1; 2 ]
+    and+ payload = string_size ~gen:printable (int_bound 64)
+    and+ damaged = map (fun k -> k = 0) (int_bound 4) in
+    Send (i, ecall, payload, damaged)
   in
   let batch = list_size (int_bound 12) send in
   let* cfg =
@@ -1121,14 +1282,16 @@ let spec_gen =
   and* first = batch
   and* after_close = batch
   and* rest = list_size (int_bound 3) batch in
-  let closed = match first with Send (i, _, _) :: _ -> i | _ -> closed in
-  let+ first = shuffle_l (Send (big, 1, String.make 257 'o') :: first) in
+  let closed = match first with Send (i, _, _, _) :: _ -> i | _ -> closed in
+  let+ first = shuffle_l (Send (big, 1, String.make 257 'o', false) :: first) in
   (cfg, (first @ (Close closed :: after_close)) :: rest)
 
 let print_spec_case ((cores, batch, shard_block, max_queue), batches) =
   let op = function
-    | Send (i, ecall, payload) ->
-        Printf.sprintf "send(s%d,e%d,%dB)" i ecall (String.length payload)
+    | Send (i, ecall, payload, damaged) ->
+        Printf.sprintf "send%s(s%d,e%d,%dB)"
+          (if damaged then "!" else "")
+          i ecall (String.length payload)
     | Close i -> Printf.sprintf "close(s%d)" i
   in
   Printf.sprintf "cores=%d batch=%d shard_block=%d max_queue=%d: %s" cores
@@ -1296,6 +1459,10 @@ let suite =
     Alcotest.test_case "enclave key lifecycle" `Quick test_enclave_key_lifecycle;
     Alcotest.test_case "dropped enclave key fails typed" `Quick
       test_dropped_key_typed_fault;
+    Alcotest.test_case "respliced slot ecall refused" `Quick
+      test_respliced_slot_ecall_refused;
+    Alcotest.test_case "damaged slots answer bad-auth" `Quick
+      test_damaged_slots_bad_auth;
     Alcotest.test_case "replayed slot sequence fails typed" `Quick
       test_replayed_slot_seq_typed;
     Alcotest.test_case "session churn reuses state slots" `Quick
